@@ -8,9 +8,8 @@ use rand::{Rng, SeedableRng};
 use tdn_baselines::sample_rr;
 use tdn_core::SieveAdn;
 use tdn_graph::{
-    marginal_gain, reach_count, reach_count_batch64, reach_count_batch_wide, reverse_reach_batch64,
-    AdnGraph, CoverSet, NodeId, ReachScratch, ScratchPool, SweepDirection, TdnGraph, BATCH_LANES,
-    MAX_BATCH_LANES,
+    marginal_gain, reach_count, reach_count_batch_wide, reverse_reach_batch, AdnGraph, CoverSet,
+    NodeId, ReachScratch, ScratchPool, SweepDirection, TdnGraph, BATCH_LANES, MAX_BATCH_LANES,
 };
 use tdn_streams::{Dataset, ZipfSampler};
 use tdn_submodular::OracleCounter;
@@ -130,7 +129,7 @@ fn bench_scratch_pool(c: &mut Criterion) {
 
 /// 64 singleton spreads, per-node BFS versus one 64-lane bit-parallel
 /// traversal — the phase-4a rebuild trade the cost model arbitrates.
-fn bench_batch64(c: &mut Criterion) {
+fn bench_lanes_64(c: &mut Criterion) {
     let g = random_adn(2_000, 6_000, 6);
     let sources: Vec<NodeId> = (0..BATCH_LANES as u32).map(NodeId).collect();
     let mut scratch = ReachScratch::new();
@@ -145,7 +144,14 @@ fn bench_batch64(c: &mut Criterion) {
     let mut counts = vec![0u64; sources.len()];
     c.bench_function("micro/spreads_64_batch64", |b| {
         b.iter(|| {
-            reach_count_batch64(&g, &sources, &mut scratch, &mut counts);
+            reach_count_batch_wide(
+                &g,
+                &sources,
+                1,
+                SweepDirection::TopDown,
+                &mut scratch,
+                &mut counts,
+            );
             counts.iter().sum::<u64>()
         })
     });
@@ -170,7 +176,14 @@ fn bench_drain_compaction(c: &mut Criterion) {
     c.bench_function("micro/drain_compaction_reentrant_path", |b| {
         b.iter(|| {
             let mut reached = 0u64;
-            reverse_reach_batch64(&g, &lanes, |_, _| 0, &mut scratch, |_, _| reached += 1);
+            reverse_reach_batch::<1, _>(
+                &g,
+                &lanes,
+                |_, _| [0],
+                SweepDirection::TopDown,
+                &mut scratch,
+                |_, _| reached += 1,
+            );
             reached
         })
     });
@@ -188,7 +201,14 @@ fn bench_wide_lanes(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0u64;
             for chunk in sources.chunks(BATCH_LANES) {
-                reach_count_batch64(&g, chunk, &mut scratch, &mut counts[..chunk.len()]);
+                reach_count_batch_wide(
+                    &g,
+                    chunk,
+                    1,
+                    SweepDirection::TopDown,
+                    &mut scratch,
+                    &mut counts[..chunk.len()],
+                );
                 total += counts[..chunk.len()].iter().sum::<u64>();
             }
             total
@@ -227,7 +247,7 @@ criterion_group!(
     bench_sieve,
     bench_rr,
     bench_scratch_pool,
-    bench_batch64,
+    bench_lanes_64,
     bench_drain_compaction,
     bench_wide_lanes,
     bench_generators

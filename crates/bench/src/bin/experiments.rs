@@ -4,8 +4,8 @@
 //! experiments <target>... [--full] [--out DIR] [--bench-out DIR]...
 //!             [--checkpoint-every N]
 //!   targets: table1 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
-//!            ablations throughput restore hotpath flatgraph widetrav
-//!            scale sketch serve chaos all
+//!            ablations throughput restore engine scale sketch serve
+//!            chaos all
 //!   --full               paper-scale sweeps (default: quick)
 //!   --out                output directory for CSVs (default: results)
 //!   --bench-out          extra directories the `BENCH_*.json` regression
@@ -28,8 +28,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tdn_bench::experiments::{
-    ablations, chaos, fig11_12, fig13_14, fig7, fig8_10, flatgraph, hotpath, restore,
-    scale as scale_exp, serve, sketch, table1, throughput, widetrav,
+    ablations, chaos, engine, fig11_12, fig13_14, fig7, fig8_10, restore, scale as scale_exp,
+    serve, sketch, table1, throughput,
 };
 use tdn_bench::Scale;
 
@@ -38,7 +38,7 @@ fn usage() -> ExitCode {
         "usage: experiments <target>... [--full] [--out DIR] [--bench-out DIR]... \
          [--checkpoint-every N]\n\
          targets: table1 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 ablations \
-         throughput restore hotpath flatgraph widetrav scale sketch serve chaos all"
+         throughput restore engine scale sketch serve chaos all"
     );
     ExitCode::FAILURE
 }
@@ -71,8 +71,8 @@ fn main() -> ExitCode {
                 _ => return usage(),
             },
             t @ ("table1" | "fig7" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "fig13"
-            | "fig14" | "ablations" | "throughput" | "restore" | "hotpath" | "flatgraph"
-            | "widetrav" | "scale" | "sketch" | "serve" | "chaos") => {
+            | "fig14" | "ablations" | "throughput" | "restore" | "engine" | "scale"
+            | "sketch" | "serve" | "chaos") => {
                 // Shared runners: figs 8-10 and 13-14 are joint.
                 targets.insert(match t {
                     "fig9" | "fig10" => "fig8",
@@ -91,9 +91,7 @@ fn main() -> ExitCode {
                     "ablations",
                     "throughput",
                     "restore",
-                    "hotpath",
-                    "flatgraph",
-                    "widetrav",
+                    "engine",
                     "scale",
                     "sketch",
                     "serve",
@@ -130,9 +128,7 @@ fn main() -> ExitCode {
             "ablations" => ablations::run(&out, &scale),
             "throughput" => throughput::run(&out, &scale),
             "restore" => restore::run(&out, &scale, checkpoint_every),
-            "hotpath" => hotpath::run(&out, &scale),
-            "flatgraph" => flatgraph::run(&out, &scale),
-            "widetrav" => widetrav::run(&out, &scale),
+            "engine" => engine::run(&out, &scale),
             "scale" => scale_exp::run(&out, &scale),
             "sketch" => sketch::run(&out, &scale),
             "serve" => serve::run(&out, &scale),

@@ -3,16 +3,14 @@
 
 pub mod ablations;
 pub mod chaos;
+pub mod engine;
 pub mod fig11_12;
 pub mod fig13_14;
 pub mod fig7;
 pub mod fig8_10;
-pub mod flatgraph;
-pub mod hotpath;
 pub mod restore;
 pub mod scale;
 pub mod serve;
 pub mod sketch;
 pub mod table1;
 pub mod throughput;
-pub mod widetrav;

@@ -14,7 +14,7 @@
 //! | `experiments ablations` | refeed / window / lazy / prune |
 //! | `experiments throughput` | edges/sec vs `TDN_THREADS` (`BENCH_throughput.json`) |
 //! | `experiments restore` | checkpoint/warm-restart cost vs full replay (`BENCH_restore.json`) |
-//! | `experiments hotpath` | incremental vs full spread maintenance (`BENCH_hotpath.json`) |
+//! | `experiments engine` | incremental vs full spread maintenance, lane-batching identity grid (`BENCH_engine.json`) |
 //!
 //! Run `cargo run --release -p tdn-bench --bin experiments -- all --full`
 //! for paper-scale sweeps; the default `--quick` scale finishes in minutes.

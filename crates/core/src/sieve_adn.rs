@@ -51,7 +51,7 @@ use tdn_graph::{
     lane_chunks, lane_width_for, marginal_gain, reach_count, reach_count_batch_wide,
     reverse_reach_batch_wide, reverse_reach_collect, reverse_reach_union_ordered, AdnGraph,
     CoverSet, EdgeInsert, FxHashMap, FxHashSet, NodeId, OutGraph, ScratchPool, SketchParams,
-    SketchPool, SpreadMemo, SpreadStats, SpreadStatsSnapshot, SweepDirection, Time, BATCH_LANES,
+    SketchPool, SpreadMemo, SpreadStats, SpreadStatsSnapshot, SweepDirection, Time,
     MAX_BATCH_LANES,
 };
 use tdn_streams::TimedEdge;
@@ -66,8 +66,9 @@ pub enum SpreadMode {
     #[default]
     Incremental,
     /// The reference path: full recomputation of every `V̄_t` spread per
-    /// batch. Retained verbatim as the differential-testing oracle (and as
-    /// the baseline the `hotpath` experiment measures against).
+    /// batch (one reverse BFS per edge source, one forward BFS per node).
+    /// Retained verbatim as the differential-testing oracle (and as the
+    /// baseline the `engine` experiment measures against).
     FullRecompute,
     /// Bounded-error estimation: singleton spreads are served from a
     /// [`SketchPool`] of reverse-reachable sets maintained under inserts,
@@ -105,12 +106,12 @@ impl SpreadMode {
     }
 }
 
-/// Which traversal backend services the incremental engine's hot path
+/// How the incremental engine batches its bit-parallel traversal kernels
 /// (phase-3 dirty/delta marking, phase-3b old-sink patches, and phase-4a
-/// spread rebuilds). Every backend produces bit-identical solutions and
-/// oracle tallies; the knob exists so the `flatgraph` and `widetrav`
-/// experiments can measure each backend against the one it replaced, and
-/// so differential tests can pin any point of the width × direction grid.
+/// spread rebuilds). Every setting produces bit-identical solutions,
+/// oracle tallies and engine tallies. Production runs [`Self::Wide`];
+/// [`Self::Fixed`] exists so differential tests can pin any point of the
+/// width × direction grid.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum TraversalKind {
     /// The wide-lane direction-optimizing engine: lane batches are sized
@@ -120,16 +121,6 @@ pub enum TraversalKind {
     /// ([`SweepDirection::Auto`]).
     #[default]
     Wide,
-    /// The previous default, retained as the measured "before" of
-    /// `experiments widetrav`: 64-lane single-word batches, top-down
-    /// sweeps only.
-    Batch64,
-    /// The scalar backend retained from the engine's first release: one
-    /// full reverse BFS per distinct source (marking piggybacked), two
-    /// reverse BFSs per old sink, one forward BFS per rebuilt spread.
-    /// The measured "before" of `experiments flatgraph`, and a
-    /// differential oracle for the batched backends.
-    Scalar,
     /// A pinned point of the batched grid: exactly `lanes` lanes per
     /// traversal (rounded to a label width of 1, 2 or 4 words) swept in
     /// `direction`. Differential tests iterate this variant to prove the
@@ -138,12 +129,12 @@ pub enum TraversalKind {
     Fixed {
         /// Max multi-source lanes per traversal (1..=[`MAX_BATCH_LANES`]).
         lanes: usize,
-        /// Sweep policy for every traversal this backend issues.
+        /// Sweep policy for every traversal this setting issues.
         direction: SweepDirection,
     },
 }
 
-/// Resolved batching parameters of a [`TraversalKind`] (`None` = scalar).
+/// Resolved batching parameters of a [`TraversalKind`].
 #[derive(Copy, Clone)]
 struct BatchParams {
     /// Max lanes per traversal; work is chunked to this.
@@ -164,26 +155,19 @@ impl BatchParams {
 }
 
 impl TraversalKind {
-    /// The batching parameters this backend runs the lane-batched phases
-    /// with, or `None` for the scalar backend.
-    fn batch_params(self) -> Option<BatchParams> {
+    /// The batching parameters the lane-batched phases run with.
+    fn batch_params(self) -> BatchParams {
         match self {
-            TraversalKind::Wide => Some(BatchParams {
+            TraversalKind::Wide => BatchParams {
                 max_lanes: MAX_BATCH_LANES,
                 direction: SweepDirection::Auto,
                 pinned_width: None,
-            }),
-            TraversalKind::Batch64 => Some(BatchParams {
-                max_lanes: BATCH_LANES,
-                direction: SweepDirection::TopDown,
-                pinned_width: Some(1),
-            }),
-            TraversalKind::Fixed { lanes, direction } => Some(BatchParams {
+            },
+            TraversalKind::Fixed { lanes, direction } => BatchParams {
                 max_lanes: lanes,
                 direction,
                 pinned_width: Some(lane_width_for(lanes)),
-            }),
-            TraversalKind::Scalar => None,
+            },
         }
     }
 }
@@ -198,44 +182,6 @@ const PROBE_BUDGET: usize = 512;
 const REBUILD_NUM: usize = 3;
 /// Denominator of the rebuild threshold (see [`REBUILD_NUM`]).
 const REBUILD_DEN: usize = 4;
-
-/// Phase-4a skeleton shared by the plan-shaped evaluation backends: serve
-/// clean nodes from the memo in one serial (deterministic) planning pass,
-/// evaluate the misses via `compute` (given the miss indices into `vbar`,
-/// returning their spreads in the same order), then merge back in plan
-/// order and re-store. Returns the values plus the memo-hit count.
-fn plan_compute_merge(
-    memo: &mut SpreadMemo,
-    vbar: &[NodeId],
-    rebuild: bool,
-    compute: impl FnOnce(&[usize]) -> Vec<u64>,
-) -> (Vec<u64>, u64) {
-    let mut values: Vec<Option<u64>> = vbar
-        .iter()
-        .map(|&v| {
-            if rebuild {
-                return None;
-            }
-            let patched = memo.lookup_patched(v);
-            if let Some(n) = patched {
-                memo.store(v, n);
-            }
-            patched
-        })
-        .collect();
-    let need: Vec<usize> = (0..vbar.len()).filter(|&j| values[j].is_none()).collect();
-    let computed = compute(&need);
-    for (&j, &n) in need.iter().zip(&computed) {
-        values[j] = Some(n);
-        memo.store(vbar[j], n);
-    }
-    let hits = (vbar.len() - need.len()) as u64;
-    let values = values
-        .into_iter()
-        .map(|v| v.expect("planned or computed"))
-        .collect();
-    (values, hits)
-}
 
 /// One threshold's partial solution: seeds plus their reach cover.
 #[derive(Clone, Debug, Default)]
@@ -537,12 +483,11 @@ impl SieveAdn {
             });
         }
         // Phase 3: V̄_t and (incremental mode) dirty/delta marking. The
-        // batched backend builds `V̄_t` with one shared ordered sweep and
-        // marks up to 64 sources per bit-parallel reverse traversal; the
-        // scalar backend runs the retained reverse-BFS-per-source code.
-        // `vbar`'s membership AND order are identical across backends,
-        // spread modes, and thread counts — the sieve replay below depends
-        // on it.
+        // incremental engine builds `V̄_t` with one shared ordered sweep and
+        // marks its sources in lane-batched reverse traversals; the other
+        // modes run one reverse BFS per source. `vbar`'s membership AND
+        // order are identical across spread modes, lane batching, and
+        // thread counts — the sieve replay below depends on it.
         let mut sources: Vec<NodeId> = Vec::new();
         {
             let mut seen_src: FxHashSet<NodeId> = FxHashSet::default();
@@ -552,26 +497,22 @@ impl SieveAdn {
                 }
             }
         }
-        let batch_params = if incremental {
-            self.traversal.batch_params()
-        } else {
-            None
-        };
+        let params = self.traversal.batch_params();
         let mut vbar: Vec<NodeId> = Vec::new();
-        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-        if let Some(params) = batch_params {
+        if incremental {
             // One shared sweep: sources in order, each appending its
             // not-yet-seen ancestors in single-source BFS order — exactly
             // the merge order of the per-source paths below (see the
             // `reverse_reach_union_ordered` docs for the argument).
             scratch.with(|s| reverse_reach_union_ordered(graph, &sources, s, &mut vbar));
-            // Marking sweep: one lane per source that needs it. Lane label
+            // Marking sweep: one lane per source that needs it, so each
+            // marked set is a union of complete ancestor sets. Lane label
             // words arrive per chunk (fanned out across workers on the
             // stealing scheduler — chunk costs are skewed by cone size);
             // the merge applies dirty marks and exact deltas serially, so
-            // the sets and per-node counts the memo consults are identical
-            // to the scalar backend's (order within the EpochSets differs,
-            // which nothing observes).
+            // the sets and per-node counts the memo consults do not depend
+            // on the thread count (order within the EpochSets may, which
+            // nothing observes).
             let mark: Vec<(NodeId, bool, u32)> = sources
                 .iter()
                 .filter_map(|&u| {
@@ -632,43 +573,16 @@ impl SieveAdn {
             // Serial path keeps the subsumption skip: if `u` is already a
             // known ancestor, ancestors(u) ⊆ seen (reverse reachability is
             // transitive), so its BFS is provably redundant. The skip only
-            // elides work — `vbar` is identical either way. Incremental
-            // mode piggybacks on the same BFS: collected ancestor sets are
-            // marked dirty (novel sources) and/or credited their exact
-            // new-sink deltas (delta sources) in place; subsumed sources
-            // needing marks get one extra reverse BFS (dirty marking
-            // prunes at already-dirty nodes — sound because the dirty set
-            // is ancestor-closed).
+            // elides work — `vbar` is identical either way.
+            let mut seen: FxHashSet<NodeId> = FxHashSet::default();
             scratch.with(|s| {
                 let mut ancestors = Vec::new();
                 for &u in &sources {
-                    let novel = novel_sources.contains(&u);
-                    let delta_k = delta_source_count.get(&u).copied().unwrap_or(0);
                     if !seen.contains(&u) {
                         reverse_reach_collect(graph, u, s, &mut ancestors);
                         for &a in &ancestors {
                             if seen.insert(a) {
                                 vbar.push(a);
-                            }
-                        }
-                        if novel {
-                            for &a in &ancestors {
-                                memo.mark_dirty(a);
-                            }
-                        }
-                        if delta_k > 0 {
-                            for &a in &ancestors {
-                                memo.add_delta_n(a, delta_k);
-                            }
-                        }
-                    } else {
-                        if novel {
-                            memo.mark_ancestors_dirty(graph, u);
-                        }
-                        if delta_k > 0 {
-                            reverse_reach_collect(graph, u, s, &mut ancestors);
-                            for &a in &ancestors {
-                                memo.add_delta_n(a, delta_k);
                             }
                         }
                     }
@@ -682,26 +596,11 @@ impl SieveAdn {
                     out
                 })
             });
+            let mut seen: FxHashSet<NodeId> = FxHashSet::default();
             for ancestors in &ancestor_sets {
                 for &a in ancestors {
                     if seen.insert(a) {
                         vbar.push(a);
-                    }
-                }
-            }
-            // Same dirty and delta sets as the serial path: unions of
-            // complete ancestor sets (marking order differs, but set
-            // membership and per-node counts — all the memo consults —
-            // do not).
-            for (i, u) in sources.iter().enumerate() {
-                if novel_sources.contains(u) {
-                    for &a in &ancestor_sets[i] {
-                        memo.mark_dirty(a);
-                    }
-                }
-                if let Some(&k) = delta_source_count.get(u) {
-                    for &a in &ancestor_sets[i] {
-                        memo.add_delta_n(a, k);
                     }
                 }
             }
@@ -742,94 +641,75 @@ impl SieveAdn {
                 // Phase 3b: the sink deltas phase 3 could not fuse —
                 // pre-existing sinks, whose `+1` applies only to nodes
                 // that could not already reach the sink through its old
-                // in-edges (`A ∖ B`: two lanes per sink batched 32 lanes
-                // per label word, or two reverse BFSs per sink under the
-                // scalar backend — identical per-node deltas either way).
+                // in-edges (`A ∖ B`: two lanes per sink, 32 sinks per
+                // label word).
+                let words = params.width_for((old_sink_targets.len() * 2).min(MAX_BATCH_LANES));
                 scratch.with(|s| {
-                    if let Some(params) = batch_params {
-                        let words =
-                            params.width_for((old_sink_targets.len() * 2).min(MAX_BATCH_LANES));
-                        memo.apply_old_sink_deltas_wide(
-                            graph,
-                            &old_sink_targets,
-                            words,
-                            params.direction,
-                            s,
-                        );
-                    } else {
-                        for (v, sink_sources) in &old_sink_targets {
-                            memo.apply_old_sink_delta(graph, *v, sink_sources, s);
-                        }
-                    }
+                    memo.apply_old_sink_deltas_wide(
+                        graph,
+                        &old_sink_targets,
+                        words,
+                        params.direction,
+                        s,
+                    );
                 });
             }
-            let mut hits = 0u64;
-            let values = if let Some(params) = batch_params {
-                // Evaluate the misses in wide counting batches: dirty
-                // sources are ancestors of the same novel edges, so their
-                // downstream cones overlap heavily and one shared labeled
-                // traversal replaces up to `max_lanes` cone re-walks.
-                // Counts are exactly what per-node BFS returns, so the
-                // values — and the tally, charged per evaluation below —
-                // are unchanged. Chunk costs are skewed (cone sizes vary
-                // wildly), hence the stealing fan-out.
-                let (values, h) = plan_compute_merge(memo, &vbar, rebuild, |need| {
-                    if need.len() <= 1 {
-                        scratch.with(|s| {
-                            need.iter()
-                                .map(|&j| reach_count(graph, vbar[j], s))
-                                .collect()
-                        })
-                    } else {
-                        let chunks: Vec<&[usize]> = lane_chunks(need, params.max_lanes).collect();
-                        exec::par_map_steal(&chunks, |chunk| {
-                            scratch.with(|s| {
-                                let srcs: Vec<NodeId> = chunk.iter().map(|&j| vbar[j]).collect();
-                                let mut counts = vec![0u64; srcs.len()];
-                                reach_count_batch_wide(
-                                    graph,
-                                    &srcs,
-                                    params.width_for(chunk.len()),
-                                    params.direction,
-                                    s,
-                                    &mut counts,
-                                );
-                                counts
-                            })
-                        })
-                        .concat()
+            // Serve clean nodes from the patched memo in one serial
+            // (deterministic) planning pass; the rest are misses.
+            let mut values = vec![0u64; vbar.len()];
+            let mut need: Vec<usize> = Vec::new();
+            for (j, &v) in vbar.iter().enumerate() {
+                let patched = if rebuild {
+                    None
+                } else {
+                    memo.lookup_patched(v)
+                };
+                match patched {
+                    Some(n) => {
+                        memo.store(v, n);
+                        values[j] = n;
                     }
-                });
-                hits = h;
-                values
-            } else if exec::threads() <= 1 {
-                let memo = &mut *memo;
-                let hits = &mut hits;
+                    None => need.push(j),
+                }
+            }
+            // Evaluate the misses in wide counting batches: dirty sources
+            // are ancestors of the same novel edges, so their downstream
+            // cones overlap heavily and one shared labeled traversal
+            // replaces up to `max_lanes` cone re-walks. Counts are exactly
+            // what per-node BFS returns, so the values — and the tally,
+            // charged per evaluation below — are unchanged. Chunk costs
+            // are skewed (cone sizes vary wildly), hence the stealing
+            // fan-out.
+            let computed: Vec<u64> = if need.len() <= 1 {
                 scratch.with(|s| {
-                    vbar.iter()
-                        .map(|&v| {
-                            if !rebuild {
-                                if let Some(patched) = memo.lookup_patched(v) {
-                                    *hits += 1;
-                                    memo.store(v, patched);
-                                    return patched;
-                                }
-                            }
-                            let n = reach_count(graph, v, s);
-                            memo.store(v, n);
-                            n
-                        })
+                    need.iter()
+                        .map(|&j| reach_count(graph, vbar[j], s))
                         .collect()
                 })
             } else {
-                // Scalar parallel path: BFS the misses in parallel, merge
-                // back in plan order.
-                let (values, h) = plan_compute_merge(memo, &vbar, rebuild, |need| {
-                    exec::par_map(need, |&j| scratch.with(|s| reach_count(graph, vbar[j], s)))
-                });
-                hits = h;
-                values
+                let chunks: Vec<&[usize]> = lane_chunks(&need, params.max_lanes).collect();
+                exec::par_map_steal(&chunks, |chunk| {
+                    scratch.with(|s| {
+                        let srcs: Vec<NodeId> = chunk.iter().map(|&j| vbar[j]).collect();
+                        let mut counts = vec![0u64; srcs.len()];
+                        reach_count_batch_wide(
+                            graph,
+                            &srcs,
+                            params.width_for(chunk.len()),
+                            params.direction,
+                            s,
+                            &mut counts,
+                        );
+                        counts
+                    })
+                })
+                .concat()
             };
+            for (&j, &n) in need.iter().zip(&computed) {
+                values[j] = n;
+                memo.store(vbar[j], n);
+            }
+            let hits = (vbar.len() - need.len()) as u64;
             memo.stats().add_cache_hits(hits);
             memo.stats().add_cache_misses(vbar.len() as u64 - hits);
             values
@@ -1554,32 +1434,22 @@ mod tests {
         );
     }
 
-    /// The traversal backends are pure strategy: every point of the
-    /// width × direction grid (and the adaptive default) must agree bit
-    /// for bit — solutions, oracle tallies, and engine tallies — with the
-    /// retained scalar backend on random streams.
+    /// Lane batching is pure strategy: the adaptive default and every
+    /// point of the width × direction grid must agree bit for bit with
+    /// the full-recompute reference (solutions, oracle tallies) and with
+    /// each other (engine tallies, checkpoint bytes) on random streams.
     #[test]
     fn traversal_backends_are_bit_identical() {
-        let grid = [
-            TraversalKind::Wide,
-            TraversalKind::Batch64,
-            TraversalKind::Fixed {
-                lanes: 64,
-                direction: SweepDirection::Auto,
-            },
-            TraversalKind::Fixed {
-                lanes: 128,
-                direction: SweepDirection::TopDown,
-            },
-            TraversalKind::Fixed {
-                lanes: 256,
-                direction: SweepDirection::Auto,
-            },
-        ];
-        let scalar_counter = OracleCounter::new();
-        let mut scalar = SieveAdn::new(3, 0.15, true, scalar_counter.clone())
-            .with_traversal(TraversalKind::Scalar);
-        let mut batched: Vec<(SieveAdn, OracleCounter)> = grid
+        let mut grid = vec![TraversalKind::Wide];
+        for lanes in [64, 128, 256] {
+            for direction in [SweepDirection::TopDown, SweepDirection::Auto] {
+                grid.push(TraversalKind::Fixed { lanes, direction });
+            }
+        }
+        let full_counter = OracleCounter::new();
+        let mut full = SieveAdn::new(3, 0.15, true, full_counter.clone())
+            .with_spread_mode(SpreadMode::FullRecompute);
+        let mut cells: Vec<(SieveAdn, OracleCounter)> = grid
             .iter()
             .map(|&tr| {
                 let counter = OracleCounter::new();
@@ -1587,7 +1457,7 @@ mod tests {
                 (inst, counter)
             })
             .collect();
-        assert_eq!(batched[0].0.traversal(), TraversalKind::Wide, "default");
+        assert_eq!(cells[0].0.traversal(), TraversalKind::Wide, "default");
         let mut state = 0xB17B_A7C4_u64;
         let mut rnd = move |m: u64| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -1597,25 +1467,35 @@ mod tests {
             let batch: Vec<(NodeId, NodeId)> = (0..1 + rnd(10))
                 .map(|_| (NodeId(rnd(70) as u32), NodeId(rnd(70) as u32)))
                 .collect();
-            scalar.feed(batch.clone());
-            for (inst, counter) in &mut batched {
+            full.feed(batch.clone());
+            for (inst, counter) in &mut cells {
                 inst.feed(batch.clone());
                 let tr = inst.traversal();
-                assert_eq!(inst.query(), scalar.query(), "{tr:?}");
-                assert_eq!(inst.best_value(), scalar.best_value(), "{tr:?}");
+                assert_eq!(inst.query(), full.query(), "{tr:?}");
+                assert_eq!(inst.best_value(), full.best_value(), "{tr:?}");
                 assert_eq!(
                     counter.get(),
-                    scalar_counter.get(),
+                    full_counter.get(),
                     "tallies diverged ({tr:?})"
                 );
             }
         }
-        for (inst, _) in &batched {
+        let snapshot = |inst: &SieveAdn| {
+            let mut w = codec::Writer::new();
+            inst.write_snapshot(&mut w);
+            w.into_vec()
+        };
+        let (wide, _) = &cells[0];
+        for (inst, _) in &cells[1..] {
+            let tr = inst.traversal();
             assert_eq!(
                 inst.spread_stats(),
-                scalar.spread_stats(),
-                "engine tallies must not depend on the traversal backend ({:?})",
-                inst.traversal()
+                wide.spread_stats(),
+                "engine tallies must not depend on lane batching ({tr:?})"
+            );
+            assert!(
+                snapshot(inst) == snapshot(wide),
+                "checkpoint bytes must not depend on lane batching ({tr:?})"
             );
         }
     }

@@ -646,11 +646,13 @@ mod tests {
     #[test]
     fn release_recycled_memory_keeps_contents() {
         let mut g = AdnGraph::new();
+        let empty = g.approx_bytes();
         for u in 0..50u32 {
             for v in 0..20u32 {
                 g.add_edge(NodeId(u), NodeId(v + 100));
             }
         }
+        assert!(g.approx_bytes() > empty, "arena accounting ignores growth");
         let before = g.clone();
         g.release_recycled_memory();
         assert_eq!(g.edge_count(), before.edge_count());

@@ -19,8 +19,8 @@
 //!   [`reach::CoverSet`];
 //! * [`reach`] — BFS reachability with reusable scratch (pooled per worker
 //!   for parallel callers), incremental cover sets, pruned marginal-gain
-//!   evaluation, and 64-lane bit-parallel multi-source traversals
-//!   ([`reach::reverse_reach_batch64`], [`reach::reach_count_batch64`]);
+//!   evaluation, and 64/128/256-lane bit-parallel multi-source traversals
+//!   ([`reach::reverse_reach_batch`], [`reach::reach_count_batch`]);
 //! * [`sketch`] — reverse-reachable sketch pool: a bounded-error spread
 //!   estimator with an explicit (ε, δ) budget, maintained deterministically
 //!   under both edge inserts and time-decay expiry;
@@ -67,11 +67,11 @@ pub use node::{pack_pair, unpack_pair, Lifetime, NodeId, NodeInterner, Time};
 pub use publish::Published;
 pub use reach::{
     bottom_up_sweeps, extend_cover, lane_chunks, lane_width_for, marginal_gain, reach_collect,
-    reach_count, reach_count_batch, reach_count_batch64, reach_count_batch_wide,
-    reverse_reach_batch, reverse_reach_batch64, reverse_reach_batch_wide, reverse_reach_collect,
-    reverse_reach_excluding, reverse_reach_multi_collect, reverse_reach_union_ordered,
-    reverse_reachable_within, CoverSet, ReachScratch, ScratchPool, SpreadMemo, SpreadStats,
-    SpreadStatsSnapshot, SweepDirection, BATCH_LANES, MAX_BATCH_LANES,
+    reach_count, reach_count_batch, reach_count_batch_wide, reverse_reach_batch,
+    reverse_reach_batch_wide, reverse_reach_collect, reverse_reach_excluding,
+    reverse_reach_multi_collect, reverse_reach_union_ordered, reverse_reachable_within, CoverSet,
+    ReachScratch, ScratchPool, SpreadMemo, SpreadStats, SpreadStatsSnapshot, SweepDirection,
+    BATCH_LANES, MAX_BATCH_LANES,
 };
 pub use sketch::{SketchParams, SketchPool};
 pub use tdn::{LiveEdge, TdnGraph};

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Reusable BFS scratch: an epoch-stamped visited array and a queue, plus
-/// the label words and touch list of the 64-lane bit-parallel traversals.
+/// the label words and touch list of the bit-parallel traversals.
 ///
 /// Epoch stamping makes `clear` O(1): bumping the epoch invalidates all
 /// previous marks without touching memory.
@@ -1004,29 +1004,6 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
     }
 }
 
-/// 64-lane bit-parallel multi-source **reverse** reachability — the
-/// single-word, top-down configuration of [`reverse_reach_batch`],
-/// retained as the measured PR 6 baseline and compatibility surface.
-///
-/// # Panics
-/// Panics if more than [`BATCH_LANES`] lanes are given.
-pub fn reverse_reach_batch64<G: OutGraph + InGraph>(
-    g: &G,
-    lanes: &[&[NodeId]],
-    mut skip: impl FnMut(NodeId, NodeId) -> u64,
-    scratch: &mut ReachScratch,
-    mut visit: impl FnMut(NodeId, u64),
-) {
-    reverse_reach_batch::<1, G>(
-        g,
-        lanes,
-        |v, u| [skip(v, u)],
-        SweepDirection::TopDown,
-        scratch,
-        |n, words| visit(n, words[0]),
-    );
-}
-
 /// Runs [`reverse_reach_batch`] (plain reachability, no skip mask) at a
 /// label width chosen at **runtime** — the monomorphization dispatcher the
 /// trackers' auto-width phases call with [`lane_width_for`]'s pick. Each
@@ -1251,22 +1228,6 @@ pub fn reach_count_batch<const W: usize, G: OutGraph + InGraph>(
             }
         }
     }
-}
-
-/// 64-lane bit-parallel **forward** reachability counting — the
-/// single-word, top-down configuration of [`reach_count_batch`], retained
-/// as the measured PR 6 baseline and compatibility surface.
-///
-/// # Panics
-/// Panics if `sources` and `counts` differ in length or exceed
-/// [`BATCH_LANES`].
-pub fn reach_count_batch64<G: OutGraph + InGraph>(
-    g: &G,
-    sources: &[NodeId],
-    scratch: &mut ReachScratch,
-    counts: &mut [u64],
-) {
-    reach_count_batch::<1, G>(g, sources, SweepDirection::TopDown, scratch, counts);
 }
 
 /// Runs [`reach_count_batch`] at a label width chosen at **runtime** — the
@@ -1520,10 +1481,7 @@ impl SpreadStatsSnapshot {
 ///    via [`store`](Self::store).
 ///
 /// The dirty set is **ancestor-closed** (a union of complete
-/// reverse-reachability sets), which is what lets
-/// [`mark_ancestors_dirty`](Self::mark_ancestors_dirty) prune its reverse
-/// BFS at already-dirty nodes, the same way `marginal_gain` prunes at
-/// covered nodes.
+/// reverse-reachability sets).
 ///
 /// Values served from the memo are *exactly* what a fresh BFS would return,
 /// so consumers are bit-identical to a full-recompute run by construction;
@@ -1538,12 +1496,6 @@ pub struct SpreadMemo {
     /// spread grew by `delta_count[n]` this batch iff `delta.contains(n)`.
     delta: EpochSet,
     delta_count: Vec<u32>,
-    /// Reusable BFS queue for [`Self::mark_ancestors_dirty`].
-    queue: Vec<NodeId>,
-    /// Reusable buffers for [`Self::apply_old_sink_delta`].
-    bmark: EpochSet,
-    abuf: Vec<NodeId>,
-    bbuf: Vec<NodeId>,
     /// Adaptive probe-gate counters (see [`Self::probe_gate`]).
     probes_run: u64,
     probes_hit: u64,
@@ -1596,37 +1548,9 @@ impl SpreadMemo {
         self.dirty.insert(n)
     }
 
-    /// Whether `n` is dirty this batch.
-    #[inline]
-    pub fn is_dirty(&self, n: NodeId) -> bool {
-        self.dirty.contains(n)
-    }
-
     /// Number of nodes marked dirty this batch.
     pub fn dirty_len(&self) -> usize {
         self.dirty.len()
-    }
-
-    /// Marks `start` and everything that can reach it dirty, pruning the
-    /// reverse BFS at already-dirty nodes (sound because the dirty set is
-    /// ancestor-closed).
-    pub fn mark_ancestors_dirty<G: InGraph>(&mut self, g: &G, start: NodeId) {
-        if !self.dirty.insert(start) {
-            return;
-        }
-        let SpreadMemo { dirty, queue, .. } = self;
-        queue.clear();
-        queue.push(start);
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            g.for_each_in(v, |u| {
-                if dirty.insert(u) {
-                    queue.push(u);
-                }
-            });
-        }
     }
 
     /// Adds one exact `+1` spread delta to `n` this batch (a batch-new
@@ -1692,6 +1616,9 @@ impl SpreadMemo {
     /// nodes `A ∖ B` is exactly the set whose spread grew, and it grew by
     /// exactly 1 (the sink contributes nothing beyond itself); see
     /// DESIGN.md § Incremental spread maintenance for the proof.
+    ///
+    /// Two full reverse BFSs per sink: the reference that
+    /// [`Self::apply_old_sink_deltas_wide`] is tested against.
     pub fn apply_old_sink_delta<G: OutGraph + InGraph>(
         &mut self,
         g: &G,
@@ -1699,45 +1626,27 @@ impl SpreadMemo {
         fresh_sources: &[NodeId],
         scratch: &mut ReachScratch,
     ) {
-        let mut b = std::mem::take(&mut self.bbuf);
+        let mut b = Vec::new();
         reverse_reach_excluding(g, sink, fresh_sources, scratch, &mut b);
-        self.bmark.clear();
-        for &x in &b {
-            self.bmark.insert(x);
-        }
-        let mut a = std::mem::take(&mut self.abuf);
+        let b: NodeBitSet = b.into_iter().collect();
+        let mut a = Vec::new();
         reverse_reach_multi_collect(g, fresh_sources, scratch, &mut a);
-        for &x in &a {
-            if !self.bmark.contains(x) {
+        for x in a {
+            if !b.contains(x) {
                 self.add_delta(x);
             }
         }
-        self.abuf = a;
-        self.bbuf = b;
     }
 
     /// Applies the exact deltas of many pre-existing sinks with two lanes
-    /// per sink in bit-parallel reverse traversals ([`BATCH_LANES`]` / 2`
-    /// sinks per traversal): lane `2i` is sink `i`'s `A` side (everything
-    /// reaching a fresh in-edge source) and lane `2i + 1` its `B` side
-    /// (everything reaching the sink without the fresh direct hops, via
-    /// the `skip` mask). A node gains `+1` per sink whose `A` bit is set
-    /// and `B` bit clear — identical per-node totals to calling
-    /// [`Self::apply_old_sink_delta`] once per sink, in two traversals per
-    /// 32 sinks instead of two full reverse BFSs per sink.
-    pub fn apply_old_sink_deltas_batch64<G: OutGraph + InGraph>(
-        &mut self,
-        g: &G,
-        sinks: &[(NodeId, Vec<NodeId>)],
-        scratch: &mut ReachScratch,
-    ) {
-        self.apply_old_sink_deltas_batch::<1, G>(g, sinks, SweepDirection::TopDown, scratch);
-    }
-
-    /// [`Self::apply_old_sink_deltas_batch64`] at a label width chosen at
-    /// runtime (`words * 32` sinks per traversal) with an explicit sweep
-    /// direction — the auto-width phase-3b entry point. Per-node delta
-    /// totals are identical at every width and direction.
+    /// per sink in bit-parallel reverse traversals (`words * 32` sinks per
+    /// traversal, swept in `direction`): lane `2i` is sink `i`'s `A` side
+    /// (everything reaching a fresh in-edge source) and lane `2i + 1` its
+    /// `B` side (everything reaching the sink without the fresh direct
+    /// hops, via the `skip` mask). A node gains `+1` per sink whose `A`
+    /// bit is set and `B` bit clear — identical per-node totals to calling
+    /// [`Self::apply_old_sink_delta`] once per sink, at every width and
+    /// direction.
     ///
     /// # Panics
     /// Panics if `words` is not a shipped width (1, 2 or 4).
@@ -1855,10 +1764,6 @@ impl SpreadMemo {
         self.delta_count = Vec::new();
         self.dirty = EpochSet::new();
         self.delta = EpochSet::new();
-        self.bmark = EpochSet::new();
-        self.queue = Vec::new();
-        self.abuf = Vec::new();
-        self.bbuf = Vec::new();
         before.saturating_sub(self.approx_bytes())
     }
 
@@ -1870,9 +1775,6 @@ impl SpreadMemo {
             + self.dirty.approx_bytes()
             + self.delta.approx_bytes()
             + self.delta_count.capacity() * std::mem::size_of::<u32>()
-            + self.bmark.approx_bytes()
-            + (self.queue.capacity() + self.abuf.capacity() + self.bbuf.capacity())
-                * std::mem::size_of::<NodeId>()
     }
 
     /// Serializes the memo: validity flags and values, plus the adaptive
@@ -2201,7 +2103,11 @@ mod tests {
         // Next batch: a novel edge 2 -> 3 dirties ancestors(2) = {0,1,2}.
         g.add_edge(NodeId(2), NodeId(3));
         memo.begin_batch(g.node_index_bound());
-        memo.mark_ancestors_dirty(&g, NodeId(2));
+        let mut ancestors = Vec::new();
+        reverse_reach_collect(&g, NodeId(2), &mut s, &mut ancestors);
+        for n in ancestors {
+            memo.mark_dirty(n);
+        }
         assert_eq!(memo.dirty_len(), 3);
         for i in 0..3u32 {
             assert_eq!(memo.lookup(NodeId(i)), None, "dirty nodes must recompute");
@@ -2216,26 +2122,6 @@ mod tests {
         assert_eq!(memo.lookup(NodeId(3)), None, "never stored");
         memo.clear_cache();
         assert_eq!(memo.lookup(NodeId(0)), None, "cleared cache serves nothing");
-    }
-
-    #[test]
-    fn mark_ancestors_dirty_prunes_at_dirty_nodes() {
-        // Diamond: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3.
-        let mut g = AdnGraph::new();
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(0), NodeId(2));
-        g.add_edge(NodeId(1), NodeId(3));
-        g.add_edge(NodeId(2), NodeId(3));
-        let mut memo = SpreadMemo::new();
-        memo.begin_batch(g.node_index_bound());
-        memo.mark_ancestors_dirty(&g, NodeId(1));
-        assert_eq!(memo.dirty_len(), 2); // {1, 0}
-                                         // Marking from 3 prunes at the already-dirty 1 but still reaches 2.
-        memo.mark_ancestors_dirty(&g, NodeId(3));
-        assert_eq!(memo.dirty_len(), 4);
-        for i in 0..4u32 {
-            assert!(memo.is_dirty(NodeId(i)));
-        }
     }
 
     #[test]
@@ -2309,6 +2195,11 @@ mod tests {
         }
     }
 
+    // The four `batch64` tests below pin the one-word (64-lane) top-down
+    // kernels — the `Fixed { lanes: 64, direction: TopDown }` grid cell —
+    // on their original cases; the width-generic tests further down cover
+    // the wider labels and the `Auto` direction.
+
     #[test]
     fn reach_count_batch64_matches_scalar_counts() {
         for seed in 0..20u64 {
@@ -2317,7 +2208,7 @@ mod tests {
             let mut s = ReachScratch::new();
             for chunk in sources.chunks(BATCH_LANES) {
                 let mut counts = vec![0u64; chunk.len()];
-                reach_count_batch64(&g, chunk, &mut s, &mut counts);
+                reach_count_batch_wide(&g, chunk, 1, SweepDirection::TopDown, &mut s, &mut counts);
                 for (&src, &got) in chunk.iter().zip(&counts) {
                     assert_eq!(got, reach_count(&g, src, &mut s), "seed {seed} src {src:?}");
                 }
@@ -2330,12 +2221,19 @@ mod tests {
         let g = line_graph(4);
         let mut s = ReachScratch::new();
         // Empty batch is a no-op.
-        reach_count_batch64(&g, &[], &mut s, &mut []);
+        reach_count_batch_wide(&g, &[], 1, SweepDirection::TopDown, &mut s, &mut []);
         // Duplicate sources occupy independent lanes with equal counts; a
         // 64-lane full batch exercises the top bit.
         let sources: Vec<NodeId> = (0..64).map(|i| NodeId(i % 4)).collect();
         let mut counts = vec![0u64; 64];
-        reach_count_batch64(&g, &sources, &mut s, &mut counts);
+        reach_count_batch_wide(
+            &g,
+            &sources,
+            1,
+            SweepDirection::TopDown,
+            &mut s,
+            &mut counts,
+        );
         for (i, &c) in counts.iter().enumerate() {
             assert_eq!(c, 4 - (i as u64 % 4));
         }
@@ -2354,15 +2252,14 @@ mod tests {
                 .collect();
             let lanes: Vec<&[NodeId]> = lane_sources.iter().map(Vec::as_slice).collect();
             let mut s = ReachScratch::new();
-            let mut per_node: Vec<u64> = vec![0; 64];
-            reverse_reach_batch64(
+            let mut per_node: Vec<u64> = vec![0; 30];
+            reverse_reach_batch::<1, _>(
                 &g,
                 &lanes,
-                |_, _| 0,
+                |_, _| [0],
+                SweepDirection::TopDown,
                 &mut s,
-                |n, mask| {
-                    per_node[n.index()] = mask;
-                },
+                |n, w| per_node[n.index()] = w[0],
             );
             let mut expect = Vec::new();
             for (i, srcs) in lane_sources.iter().enumerate() {
@@ -2404,7 +2301,7 @@ mod tests {
             }
             let mut batched = SpreadMemo::new();
             batched.begin_batch(bound);
-            batched.apply_old_sink_deltas_batch64(&g, &sinks, &mut s);
+            batched.apply_old_sink_deltas_wide(&g, &sinks, 1, SweepDirection::TopDown, &mut s);
             for n in 0..bound as u32 {
                 assert_eq!(
                     batched.delta_of(NodeId(n)),
@@ -2416,36 +2313,45 @@ mod tests {
     }
 
     #[test]
-    fn batch64_epoch_wrap_cannot_alias_marks() {
+    fn epoch_wrap_cannot_alias_marks_at_any_width() {
         let g = line_graph(5);
-        let mut s = ReachScratch::new();
-        s.force_epochs_near_wrap();
         let sources = [NodeId(0), NodeId(2)];
-        for _ in 0..5 {
-            // Repeated calls across the wrap keep answers exact.
-            let mut counts = [0u64; 2];
-            reach_count_batch64(&g, &sources, &mut s, &mut counts);
-            assert_eq!(counts, [5, 3]);
-            let mut out = Vec::new();
-            reverse_reach_union_ordered(&g, &[NodeId(4)], &mut s, &mut out);
-            assert_eq!(out.len(), 5);
+        for words in [1usize, 2, 4] {
+            for dir in [SweepDirection::TopDown, SweepDirection::Auto] {
+                let mut s = ReachScratch::new();
+                s.force_epochs_near_wrap();
+                for _ in 0..5 {
+                    // Repeated calls across the wrap keep answers exact.
+                    let mut counts = [0u64; 2];
+                    reach_count_batch_wide(&g, &sources, words, dir, &mut s, &mut counts);
+                    assert_eq!(counts, [5, 3], "words {words} dir {dir:?}");
+                    let mut out = Vec::new();
+                    reverse_reach_union_ordered(&g, &[NodeId(4)], &mut s, &mut out);
+                    assert_eq!(out.len(), 5);
+                }
+            }
         }
     }
 
     #[test]
     fn wide_reverse_matches_multi_collect_across_widths_and_directions() {
-        // Up to 256 single-source lanes: every shipped width × direction
-        // must produce exactly the per-lane reverse reachability sets.
+        // Up to 256 lanes: every shipped width × direction must produce
+        // exactly the per-lane reverse reachability sets. Lanes carry 1–3
+        // sources each, so a lane's set is a multi-source union.
         for seed in 0..6u64 {
             let g = random_graph(seed.wrapping_add(900), 120, 360);
-            let lane_sources: Vec<NodeId> = (0..MAX_BATCH_LANES)
-                .map(|i| NodeId(((seed * 13 + i as u64 * 7) % 120) as u32))
+            let lane_sources: Vec<Vec<NodeId>> = (0..MAX_BATCH_LANES as u64)
+                .map(|i| {
+                    (0..1 + (seed + i) % 3)
+                        .map(|j| NodeId(((seed * 13 + i * 7 + j * 11) % 120) as u32))
+                        .collect()
+                })
                 .collect();
             let mut s = ReachScratch::new();
             let mut expect_bits: Vec<[u64; 4]> = vec![[0; 4]; 120];
             let mut one = Vec::new();
-            for (i, &src) in lane_sources.iter().enumerate() {
-                reverse_reach_collect(&g, src, &mut s, &mut one);
+            for (i, srcs) in lane_sources.iter().enumerate() {
+                reverse_reach_multi_collect(&g, srcs, &mut s, &mut one);
                 for &n in &one {
                     expect_bits[n.index()][i >> 6] |= 1u64 << (i & 63);
                 }
@@ -2454,7 +2360,7 @@ mod tests {
                 for dir in [SweepDirection::TopDown, SweepDirection::Auto] {
                     let lanes: Vec<&[NodeId]> = lane_sources[..lanes_used]
                         .iter()
-                        .map(std::slice::from_ref)
+                        .map(Vec::as_slice)
                         .collect();
                     let mut got: Vec<[u64; 4]> = vec![[0; 4]; 120];
                     let mut visits = 0usize;
@@ -2485,7 +2391,8 @@ mod tests {
                         .filter(|(n, _)| {
                             lane_sources[..lanes_used]
                                 .iter()
-                                .any(|&src| src.index() == *n)
+                                .flatten()
+                                .any(|src| src.index() == *n)
                                 || got[*n] != [0; 4]
                         })
                         .count();
@@ -2508,7 +2415,8 @@ mod tests {
                 .iter()
                 .map(|&src| reach_count(&g, src, &mut s))
                 .collect();
-            for &(words, lanes_used) in &[(1usize, 64usize), (2, 128), (4, 256)] {
+            // The empty batch is a no-op; full batches set each width's top bit.
+            for &(words, lanes_used) in &[(1usize, 0usize), (1, 64), (2, 128), (4, 256)] {
                 for dir in [SweepDirection::TopDown, SweepDirection::Auto] {
                     let mut counts = vec![0u64; lanes_used];
                     reach_count_batch_wide(
@@ -2587,16 +2495,18 @@ mod tests {
 
     #[test]
     fn wide_old_sink_deltas_match_sequential_patch() {
-        for seed in 0..8u64 {
+        for seed in 0..12u64 {
             let mut g = random_graph(seed.wrapping_add(2100), 60, 140);
             let mut state = seed.wrapping_add(3) | 1;
             let mut rnd = move |m: u32| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 ((state >> 33) as u32) % m
             };
-            // Enough sinks to span multiple pair-lane words at width 1.
+            // A handful of sinks (one partial pair-lane word), then enough
+            // sinks to span multiple pair-lane words at width 1.
+            let sink_count = if seed < 4 { 1 + rnd(4) } else { 40 + rnd(30) };
             let mut sinks: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-            for i in 0..40 + rnd(30) {
+            for i in 0..sink_count {
                 let sink = NodeId(60 + i);
                 let fresh: Vec<NodeId> = (0..1 + rnd(3)).map(|_| NodeId(rnd(60))).collect();
                 for &f in &fresh {
@@ -2641,7 +2551,14 @@ mod tests {
         let lanes: Vec<&[NodeId]> = seeds.iter().map(std::slice::from_ref).collect();
         let mut s = ReachScratch::new();
         let mut reached = 0u64;
-        reverse_reach_batch64(&g, &lanes, |_, _| 0, &mut s, |_, _| reached += 1);
+        reverse_reach_batch::<1, _>(
+            &g,
+            &lanes,
+            |_, _| [0],
+            SweepDirection::TopDown,
+            &mut s,
+            |_, _| reached += 1,
+        );
         assert_eq!(reached, n as u64, "every path node is some lane's ancestor");
         let (pushes, compactions, moved) = s.drain_stats();
         assert!(
@@ -2818,6 +2735,24 @@ mod tests {
         assert_eq!(memo.lookup(NodeId(5)), None);
         memo.store(NodeId(5), 7);
         assert_eq!(memo.lookup(NodeId(5)), Some(7));
+    }
+
+    #[test]
+    fn cover_bills_its_word_array_and_iterates_canonically() {
+        // One node at index 1023 needs exactly 16 words: billed, but not
+        // wildly over-reported.
+        let mut cover = CoverSet::new();
+        cover.insert(NodeId(1023));
+        assert!(cover.approx_bytes() >= 16 * 8, "word array not billed");
+        assert!(
+            cover.approx_bytes() <= 4 * 16 * 8 + 64,
+            "{} bytes billed for 16 words",
+            cover.approx_bytes()
+        );
+        // Covers iterate (and therefore checkpoint) in ascending order.
+        cover.insert(NodeId(3));
+        let order: Vec<u32> = cover.iter().map(|n| n.0).collect();
+        assert_eq!(order, vec![3, 1023]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!    delta chain must equal both a direct (single base) save/restore and
 //!    an uninterrupted run — per-step solutions *and* oracle-call tallies
 //!    — across `SpreadMode` × `TraversalKind` × `TDN_THREADS` ∈ {1, 4},
-//!    on randomized schedules and cut points.
+//!    on randomized schedules and cut points. Restores always come back
+//!    on the default `Wide` batching, so a checkpoint written by a pinned
+//!    `Fixed` tracker must continue identically on the default.
 //! 2. **Actionable corruption reports.** A bit flip inside any section of
 //!    a sectioned payload surfaces as
 //!    `PersistError::ChecksumMismatch { section: Some(name) }` naming that
@@ -20,7 +22,7 @@
 //!    `golden_checkpoint.rs`; this suite pins the manifest view).
 
 use proptest::prelude::*;
-use tdn::algorithms::TraversalKind;
+use tdn::algorithms::{SweepDirection, TraversalKind};
 use tdn::prelude::*;
 
 /// One scheduled edge: (step, src, dst, lifetime).
@@ -135,7 +137,10 @@ proptest! {
         let h = horizon(&evs) + 1;
         let cuts = (cuts[0].min(h), cuts[1].min(h), cuts[2].min(h));
         for mode in [SpreadMode::Incremental, SpreadMode::FullRecompute] {
-            for traversal in [TraversalKind::Scalar, TraversalKind::Batch64] {
+            for traversal in [
+                TraversalKind::Wide,
+                TraversalKind::Fixed { lanes: 64, direction: SweepDirection::TopDown },
+            ] {
                 for threads in [1usize, 4] {
                     let (reference, chained, direct) = exec::with_threads(threads, || {
                         let reference = run_straight(make_tracker(mode, traversal), &evs);

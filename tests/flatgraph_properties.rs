@@ -1,10 +1,13 @@
-//! Property suite for the flat graph core (PR 5): epoch wrap-around in the
+//! Property suite for the flat graph core: epoch wrap-around in the
 //! stamped scratch structures, adjacency-arena block reuse under
-//! same-bucket expiry storms, and traversal-backend bit-identity — all
-//! exercised at both [`SpreadMode`]s and `TDN_THREADS` ∈ {1, 4}.
+//! same-bucket expiry storms, and lane-batching bit-identity against the
+//! full-recompute reference at `TDN_THREADS` ∈ {1, 4}.
 
 use proptest::prelude::*;
-use tdn::graph::{reach_count, AdjPool, EpochSet, NodeId as GNodeId, ReachScratch, TdnGraph};
+use tdn::graph::{
+    reach_count, reach_count_batch_wide, AdjPool, EpochSet, NodeId as GNodeId, ReachScratch,
+    TdnGraph,
+};
 use tdn::prelude::*;
 use tdn_core::{SweepDirection, TraversalKind};
 
@@ -55,34 +58,30 @@ fn run_hist(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Under expiry storms, every (mode, backend, thread-count) cell must
-    /// produce the same solutions and oracle tallies — the flat core and
-    /// the 64-lane backend change how answers are computed, never what
-    /// they are.
+    /// Under expiry storms, full recompute at 4 threads and the incremental
+    /// engine on the adaptive `Wide` default at 1 and 4 threads must
+    /// reproduce the single-threaded full-recompute reference's solutions
+    /// and oracle tallies — the engine and the thread count change how
+    /// answers are computed, never what they are.
     #[test]
     fn storm_streams_are_backend_and_thread_invariant(evs in storm_schedule()) {
-        let reference = run_hist(&evs, SpreadMode::FullRecompute, TraversalKind::Scalar, 1);
-        for mode in [SpreadMode::Incremental, SpreadMode::FullRecompute] {
-            for traversal in [TraversalKind::Batch64, TraversalKind::Scalar] {
-                for threads in [1usize, 4] {
-                    let got = run_hist(&evs, mode, traversal, threads);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "mode {:?} traversal {:?} threads {}", mode, traversal, threads
-                    );
-                }
-            }
+        let reference = run_hist(&evs, SpreadMode::FullRecompute, TraversalKind::Wide, 1);
+        let full = run_hist(&evs, SpreadMode::FullRecompute, TraversalKind::Wide, 4);
+        prop_assert_eq!(&full, &reference, "full recompute at 4 threads");
+        for threads in [1usize, 4] {
+            let got = run_hist(&evs, SpreadMode::Incremental, TraversalKind::Wide, threads);
+            prop_assert_eq!(&got, &reference, "incremental Wide threads {}", threads);
         }
     }
 
-    /// The wide-lane engine's full pinned grid — every shipped label width
-    /// crossed with both sweep policies, at 1 and 4 threads — must be
-    /// bit-identical to the scalar single-threaded oracle on the same
-    /// storm streams, and so must the adaptive `Wide` default.
+    /// The incremental engine's full pinned grid — every shipped label
+    /// width crossed with both sweep policies, at 1 and 4 threads — must
+    /// be bit-identical to the same single-threaded full-recompute
+    /// reference on the same storm streams.
     #[test]
     fn storm_streams_are_width_and_direction_invariant(evs in storm_schedule()) {
-        let reference = run_hist(&evs, SpreadMode::FullRecompute, TraversalKind::Scalar, 1);
-        let mut grid = vec![TraversalKind::Wide];
+        let reference = run_hist(&evs, SpreadMode::FullRecompute, TraversalKind::Wide, 1);
+        let mut grid = Vec::new();
         for lanes in [64usize, 128, 256] {
             for direction in [SweepDirection::TopDown, SweepDirection::Auto] {
                 grid.push(TraversalKind::Fixed { lanes, direction });
@@ -100,8 +99,9 @@ proptest! {
     }
 
     /// Forced epoch wrap-around in `ReachScratch` (both the plain visited
-    /// epoch and the bit-parallel worklist epoch) must not alias marks:
-    /// traversals right after a wrap agree with a fresh scratch.
+    /// epoch and the bit-parallel worklist epoch) must not alias marks at
+    /// any label width or sweep direction: traversals right after a wrap
+    /// agree with a fresh scratch.
     #[test]
     fn reach_scratch_epoch_wrap_is_transparent(
         edges in prop::collection::vec((0u32..24, 0u32..24), 1..60),
@@ -112,22 +112,29 @@ proptest! {
                 g.add_edge(GNodeId(u), GNodeId(v));
             }
         }
-        let mut wrapped = ReachScratch::new();
-        wrapped.force_epochs_near_wrap();
+        let sources: Vec<GNodeId> = (0..24).map(GNodeId).collect();
         let mut fresh = ReachScratch::new();
-        for round in 0..4 {
-            for n in 0..24u32 {
-                prop_assert_eq!(
-                    reach_count(&g, GNodeId(n), &mut wrapped),
-                    reach_count(&g, GNodeId(n), &mut fresh),
-                    "round {} node {}", round, n
-                );
-            }
-            let sources: Vec<GNodeId> = (0..24).map(GNodeId).collect();
-            let mut batch_counts = vec![0u64; 24];
-            tdn::graph::reach_count_batch64(&g, &sources, &mut wrapped, &mut batch_counts);
-            for (n, &c) in batch_counts.iter().enumerate() {
-                prop_assert_eq!(c, reach_count(&g, GNodeId(n as u32), &mut fresh));
+        let expect: Vec<u64> = sources.iter().map(|&n| reach_count(&g, n, &mut fresh)).collect();
+        for words in [1usize, 2, 4] {
+            for direction in [SweepDirection::TopDown, SweepDirection::Auto] {
+                let mut wrapped = ReachScratch::new();
+                wrapped.force_epochs_near_wrap();
+                for round in 0..4 {
+                    for (&n, &want) in sources.iter().zip(&expect) {
+                        prop_assert_eq!(
+                            reach_count(&g, n, &mut wrapped), want,
+                            "round {} node {:?}", round, n
+                        );
+                    }
+                    let mut batch_counts = vec![0u64; 24];
+                    reach_count_batch_wide(
+                        &g, &sources, words, direction, &mut wrapped, &mut batch_counts,
+                    );
+                    prop_assert_eq!(
+                        &batch_counts, &expect,
+                        "round {} words {} direction {:?}", round, words, direction
+                    );
+                }
             }
         }
     }
