@@ -16,9 +16,12 @@ use crate::config::TrackerConfig;
 use crate::sieve_adn::{SieveAdn, SpreadMode, TraversalKind};
 use crate::tracker::{InfluenceTracker, Solution};
 use std::collections::VecDeque;
-use tdn_graph::{Lifetime, SpreadStats, SpreadStatsSnapshot, Time};
+use tdn_graph::{Lifetime, NodeId, SpreadStats, SpreadStatsSnapshot, Time};
 use tdn_streams::TimedEdge;
 use tdn_submodular::OracleCounter;
+
+/// Largest `L` the tracker materializes instances for.
+const MAX_LIFETIME: u64 = 1_000_000;
 
 /// The BASICREDUCTION tracker.
 pub struct BasicReduction {
@@ -36,10 +39,8 @@ pub struct BasicReduction {
     last_t: Option<Time>,
     /// The last step's answer, kept because the answering instance `A_1`
     /// is destroyed by the post-query shift. Serves the standing-query
-    /// read path ([`crate::TrackerEngine::query`]). Deliberately *not*
-    /// checkpointed — the snapshot format predates it and restored
-    /// servers republish from their first replayed step anyway; a
-    /// freshly restored tracker falls back to the window head.
+    /// read path ([`crate::TrackerEngine::query`]), and is checkpointed so
+    /// a restored tracker answers exactly what the interrupted one did.
     last_solution: Option<Solution>,
 }
 
@@ -51,7 +52,7 @@ impl BasicReduction {
     /// clearly unintended (`L > 10⁶`); use HISTAPPROX for long lifetimes.
     pub fn new(cfg: &TrackerConfig) -> Self {
         assert!(
-            cfg.max_lifetime as u64 <= 1_000_000,
+            cfg.max_lifetime as u64 <= MAX_LIFETIME,
             "BasicReduction materializes L instances; L = {} is impractical",
             cfg.max_lifetime
         );
@@ -123,8 +124,7 @@ impl BasicReduction {
 
     /// The answer the last [`step`](InfluenceTracker::step) returned, if
     /// any. `A_1` is destroyed by the post-query shift, so this cache is
-    /// the only way to re-read a step's answer; it is not checkpointed
-    /// (restored trackers return `None` until their first step).
+    /// the only way to re-read a step's answer; checkpoints carry it.
     pub fn last_solution(&self) -> Option<&Solution> {
         self.last_solution.as_ref()
     }
@@ -135,48 +135,86 @@ impl BasicReduction {
         self.instances.iter().map(|i| i.approx_bytes()).sum()
     }
 
-    /// Serializes the tracker for checkpointing: config, oracle tally,
-    /// spread mode and engine tallies, the last processed tick, and all
-    /// `L` staggered instances in window order (`A_1` first).
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        self.cfg.write_snapshot(w);
+    /// The tick window position 0 answers at: the one after the last
+    /// processed tick (0 before the first step). Position `i` answers at
+    /// `base + i`, a name that stays fixed as the window shifts.
+    fn window_base(last_t: Option<Time>) -> Time {
+        last_t.map_or(0, |t| t.wrapping_add(1))
+    }
+
+    /// Serializes the tracker as named sections:
+    ///
+    /// - `meta`: config, oracle tally, spread mode, engine tallies, the
+    ///   last processed tick, the instance count, and the last answer;
+    /// - `inst.{deadline}.`: all `L` staggered instances
+    ///   ([`SieveAdn::write_sections`]), each named by the tick it answers
+    ///   at, so an instance whose state did not change since the parent
+    ///   save becomes refs however far the window shifted.
+    pub fn write_sections(&self, sink: &mut codec::SectionSink) {
+        let mut w = codec::Writer::new();
+        self.cfg.write_snapshot(&mut w);
         w.put_u64(self.counter.get());
-        self.mode.write_snapshot(w);
-        self.spread_stats.snapshot().write_snapshot(w);
+        self.mode.write_snapshot(&mut w);
+        self.spread_stats.snapshot().write_snapshot(&mut w);
         w.put_bool(self.last_t.is_some());
         w.put_u64(self.last_t.unwrap_or(0));
         w.put_len(self.instances.len());
-        for inst in &self.instances {
-            inst.write_snapshot(w);
+        w.put_bool(self.last_solution.is_some());
+        if let Some(sol) = &self.last_solution {
+            let seeds: Vec<u32> = sol.seeds.iter().map(|s| s.0).collect();
+            w.put_u32_run(&seeds);
+            w.put_u64(sol.value);
+        }
+        sink.put("meta", w.into_vec());
+        let base = Self::window_base(self.last_t);
+        for (i, inst) in self.instances.iter().enumerate() {
+            inst.write_sections(sink, &format!("inst.{}.", base.wrapping_add(i as Time)));
         }
     }
 
-    /// Reconstructs a tracker from [`Self::write_snapshot`] bytes. All
-    /// restored instances bill one fresh counter seeded with the saved
-    /// tally, exactly like the interrupted run's shared counter (the
-    /// engine tally is shared and re-seeded the same way).
-    pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        let cfg = TrackerConfig::read_snapshot(r)?;
+    /// Reconstructs a tracker from the sections [`Self::write_sections`]
+    /// emitted. All restored instances bill one fresh counter seeded with
+    /// the saved tally, exactly like the interrupted run's shared counter
+    /// (the engine tally is shared and re-seeded the same way).
+    pub fn read_sections(map: &codec::SectionMap) -> Result<Self, codec::SectionError> {
+        let invalid =
+            |msg: &'static str| codec::SectionError::Codec(codec::CodecError::Invalid(msg));
+        let mut r = map.reader("meta")?;
+        let cfg = TrackerConfig::read_snapshot(&mut r)?;
         let calls = r.get_u64()?;
-        let mode = SpreadMode::read_snapshot(r)?;
-        let stats_snap = SpreadStatsSnapshot::read_snapshot(r)?;
+        let mode = SpreadMode::read_snapshot(&mut r)?;
+        let stats_snap = SpreadStatsSnapshot::read_snapshot(&mut r)?;
         let has_last = r.get_bool()?;
-        let last_raw = r.get_u64()?;
-        let n = r.get_len(1)?;
-        if n as u64 != cfg.max_lifetime as u64 {
-            return Err(codec::CodecError::Invalid(
-                "BasicReduction instance count differs from L",
-            ));
+        let last_t = has_last.then_some(r.get_u64()?);
+        let n = r.get_u64()?;
+        let last_solution = if r.get_bool()? {
+            let seeds: Vec<NodeId> = r.get_u32_run()?.into_iter().map(NodeId).collect();
+            if seeds.len() > cfg.k {
+                return Err(invalid("BasicReduction last answer exceeds budget k"));
+            }
+            let value = r.get_u64()?;
+            Some(Solution { seeds, value })
+        } else {
+            None
+        };
+        r.finish()?;
+        if cfg.max_lifetime as u64 > MAX_LIFETIME {
+            return Err(invalid("BasicReduction lifetime bound L out of range"));
+        }
+        if n != cfg.max_lifetime as u64 {
+            return Err(invalid("BasicReduction instance count differs from L"));
         }
         let counter = OracleCounter::new();
         counter.set(calls);
         let spread_stats = SpreadStats::new();
         spread_stats.restore(&stats_snap);
-        let mut instances = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let mut inst = SieveAdn::read_snapshot(r, counter.clone())?;
+        let base = Self::window_base(last_t);
+        let mut instances = VecDeque::with_capacity(n as usize);
+        for i in 0..n {
+            let prefix = format!("inst.{}.", base.wrapping_add(i));
+            let mut inst = SieveAdn::read_sections(map, &prefix, counter.clone())?;
             if inst.spread_mode() != mode {
-                return Err(codec::CodecError::Invalid(
+                return Err(invalid(
                     "BasicReduction instance spread mode differs from tracker",
                 ));
             }
@@ -190,8 +228,8 @@ impl BasicReduction {
             mode,
             traversal: TraversalKind::default(),
             spread_stats,
-            last_t: has_last.then_some(last_raw),
-            last_solution: None,
+            last_t,
+            last_solution,
         })
     }
 

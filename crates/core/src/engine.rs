@@ -76,9 +76,9 @@ impl TrackerEngine for BasicReduction {
     }
 
     /// Answers the cached last-step solution (`A_1` is destroyed by the
-    /// post-query shift, so it cannot be re-queried). A tracker that has
-    /// not stepped since construction or restore falls back to the
-    /// current window head's state.
+    /// post-query shift, so it cannot be re-queried; checkpoints carry the
+    /// cache). A tracker that has never stepped falls back to the current
+    /// window head's state.
     fn query(&self) -> Solution {
         if let Some(sol) = self.last_solution() {
             return sol.clone();

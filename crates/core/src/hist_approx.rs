@@ -139,63 +139,76 @@ impl HistApprox {
         instances + self.graph.approx_bytes()
     }
 
-    /// Serializes the tracker for checkpointing: config, oracle tally,
-    /// refeed flag, last processed tick, the live TDN `G_t` (expiry-bucket
-    /// order verbatim — it drives backfill feeds), and the histogram's
-    /// instances keyed by deadline.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        self.cfg.write_snapshot(w);
+    /// Serializes the tracker as named sections:
+    ///
+    /// - `meta`: config, oracle tally, spread mode, engine tallies, refeed
+    ///   flag, last processed tick, and the instance deadlines;
+    /// - `inst.{deadline}.`: every histogram instance
+    ///   ([`SieveAdn::write_sections`]) under its map key;
+    /// - `g.`: the live TDN `G_t` ([`TdnGraph::write_sections`];
+    ///   expiry-bucket order verbatim — it drives backfill feeds).
+    ///
+    /// `ReduceRedundancy` can drop a deadline that a later group
+    /// re-creates with different content under the same name; checksum
+    /// dedup keeps that sound.
+    pub fn write_sections(&self, sink: &mut codec::SectionSink) {
+        let mut w = codec::Writer::new();
+        self.cfg.write_snapshot(&mut w);
         w.put_u64(self.counter.get());
-        self.mode.write_snapshot(w);
-        self.spread_stats.snapshot().write_snapshot(w);
+        self.mode.write_snapshot(&mut w);
+        self.spread_stats.snapshot().write_snapshot(&mut w);
         w.put_bool(self.refeed);
         w.put_bool(self.last_t.is_some());
         w.put_u64(self.last_t.unwrap_or(0));
-        self.graph.write_snapshot(w);
-        w.put_len(self.instances.len());
+        let deadlines: Vec<Time> = self.instances.keys().copied().collect();
+        w.put_u64_run(&deadlines);
+        sink.put("meta", w.into_vec());
         for (&deadline, inst) in &self.instances {
-            w.put_u64(deadline);
-            inst.write_snapshot(w);
+            inst.write_sections(sink, &format!("inst.{deadline}."));
         }
+        self.graph.write_sections(sink, "g.");
     }
 
-    /// Reconstructs a tracker from [`Self::write_snapshot`] bytes. Every
-    /// restored instance bills one fresh counter seeded with the saved
-    /// tally, mirroring the interrupted run's shared counter.
-    pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        let cfg = TrackerConfig::read_snapshot(r)?;
+    /// Reconstructs a tracker from the sections [`Self::write_sections`]
+    /// emitted. Every restored instance bills one fresh counter seeded with
+    /// the saved tally, mirroring the interrupted run's shared counter.
+    pub fn read_sections(map: &codec::SectionMap) -> Result<Self, codec::SectionError> {
+        let invalid =
+            |msg: &'static str| codec::SectionError::Codec(codec::CodecError::Invalid(msg));
+        let mut r = map.reader("meta")?;
+        let cfg = TrackerConfig::read_snapshot(&mut r)?;
         let calls = r.get_u64()?;
-        let mode = SpreadMode::read_snapshot(r)?;
-        let stats_snap = SpreadStatsSnapshot::read_snapshot(r)?;
+        let mode = SpreadMode::read_snapshot(&mut r)?;
+        let stats_snap = SpreadStatsSnapshot::read_snapshot(&mut r)?;
         let refeed = r.get_bool()?;
         let has_last = r.get_bool()?;
         let last_raw = r.get_u64()?;
-        let graph = TdnGraph::read_snapshot(r)?;
-        let n = r.get_len(8)?;
+        let deadlines = r.get_u64_run()?;
+        r.finish()?;
+        let graph = TdnGraph::read_sections(map, "g.")?;
         let counter = OracleCounter::new();
         counter.set(calls);
         let spread_stats = SpreadStats::new();
         spread_stats.restore(&stats_snap);
         let mut instances = BTreeMap::new();
-        for _ in 0..n {
-            let deadline = r.get_u64()?;
+        for (i, &deadline) in deadlines.iter().enumerate() {
             if deadline <= graph.now() {
-                return Err(codec::CodecError::Invalid(
-                    "HistApprox instance deadline already passed",
+                return Err(invalid("HistApprox instance deadline already passed"));
+            }
+            if i > 0 && deadlines[i - 1] >= deadline {
+                return Err(invalid(
+                    "HistApprox instance deadlines repeat or are out of order",
                 ));
             }
-            let mut inst = SieveAdn::read_snapshot(r, counter.clone())?;
+            let prefix = format!("inst.{deadline}.");
+            let mut inst = SieveAdn::read_sections(map, &prefix, counter.clone())?;
             if inst.spread_mode() != mode {
-                return Err(codec::CodecError::Invalid(
+                return Err(invalid(
                     "HistApprox instance spread mode differs from tracker",
                 ));
             }
             inst.share_spread_stats(spread_stats.clone());
-            if instances.insert(deadline, inst).is_some() {
-                return Err(codec::CodecError::Invalid(
-                    "HistApprox duplicate instance deadline",
-                ));
-            }
+            instances.insert(deadline, inst);
         }
         Ok(HistApprox {
             cfg,

@@ -31,39 +31,44 @@ impl RandomTracker {
         }
     }
 
-    /// Serializes the tracker for checkpointing: parameters, oracle tally,
-    /// the generator's exact internal state, and the live TDN (whose
-    /// live-node *position order* the sampler indexes into).
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
+    /// Serializes the tracker as named sections: `meta` holds the
+    /// parameters, oracle tally, and the generator's exact internal state;
+    /// `g.` holds the live TDN (whose live-node *position order* the
+    /// sampler indexes into, [`TdnGraph::write_sections`]).
+    pub fn write_sections(&self, sink: &mut codec::SectionSink) {
+        let mut w = codec::Writer::new();
         w.put_u64(self.k as u64);
         w.put_u32(self.max_lifetime);
         w.put_u64(self.counter.get());
         for word in self.rng.state() {
             w.put_u64(word);
         }
-        self.graph.write_snapshot(w);
+        sink.put("meta", w.into_vec());
+        self.graph.write_sections(sink, "g.");
     }
 
-    /// Reconstructs a tracker from [`Self::write_snapshot`] bytes. The
-    /// restored generator resumes the interrupted run's random stream, so
-    /// future draws match an uninterrupted run exactly.
-    pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
+    /// Reconstructs a tracker from the sections [`Self::write_sections`]
+    /// emitted. The restored generator resumes the interrupted run's
+    /// random stream, so future draws match an uninterrupted run exactly.
+    pub fn read_sections(map: &codec::SectionMap) -> Result<Self, codec::SectionError> {
+        let invalid =
+            |msg: &'static str| codec::SectionError::Codec(codec::CodecError::Invalid(msg));
+        let mut r = map.reader("meta")?;
         let k = r.get_u64()?;
         if k == 0 || k > usize::MAX as u64 {
-            return Err(codec::CodecError::Invalid("sampler budget k out of range"));
+            return Err(invalid("sampler budget k out of range"));
         }
         let max_lifetime = r.get_u32()?;
         if max_lifetime == 0 {
-            return Err(codec::CodecError::Invalid(
-                "sampler lifetime bound L is zero",
-            ));
+            return Err(invalid("sampler lifetime bound L is zero"));
         }
         let calls = r.get_u64()?;
         let mut state = [0u64; 4];
         for word in &mut state {
             *word = r.get_u64()?;
         }
-        let graph = TdnGraph::read_snapshot(r)?;
+        r.finish()?;
+        let graph = TdnGraph::read_sections(map, "g.")?;
         let counter = OracleCounter::new();
         counter.set(calls);
         Ok(RandomTracker {

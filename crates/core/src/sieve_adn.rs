@@ -81,9 +81,8 @@ pub enum SpreadMode {
 }
 
 impl SpreadMode {
-    /// Serializes the mode (tag byte, plus the sketch params for
-    /// [`SpreadMode::Sketch`] — part of the checkpoint payload format;
-    /// tags 1 and 2 are byte-compatible with the pre-sketch format).
+    /// Serializes the mode: a tag byte, plus the sketch params for
+    /// [`SpreadMode::Sketch`].
     pub(crate) fn write_snapshot(self, w: &mut codec::Writer) {
         match self {
             SpreadMode::Incremental => w.put_u8(1),
@@ -808,140 +807,33 @@ impl SieveAdn {
             + sketch
     }
 
-    /// Serializes the instance's full sieve state for checkpointing: the
-    /// spread mode, the accumulated ADN (adjacency order verbatim — it
-    /// drives `V̄_t` replay order), the threshold ladder, every slot's
-    /// seeds and cover, and the spread memo (so a warm restart resumes
-    /// with the same cache, not a cold one).
+    /// Serializes the instance's full sieve state as named sections under
+    /// `prefix`:
+    ///
+    /// - `{prefix}meta`: spread mode, budget `k`, prune flag, node bound.
+    /// - `{prefix}graph.{out,inc}.<c>`: the accumulated ADN
+    ///   ([`AdnGraph::write_sections`]; adjacency order verbatim — it
+    ///   drives `V̄_t` replay order).
+    /// - `{prefix}sieve`: threshold ladder plus every slot's seeds and
+    ///   cover (word runs).
+    /// - `{prefix}memo`: the spread memo, so a warm restart resumes with
+    ///   the same cache, not a cold one.
+    /// - `{prefix}sketch` (sketch mode only): the reverse-reachable pool —
+    ///   roots, per-sketch RNG states, member sets.
     ///
     /// The shared [`OracleCounter`] is *not* written here; ownership of the
     /// tally lives with the enclosing tracker (HISTAPPROX checkpoints many
     /// instances billing one counter, which must be saved exactly once).
     /// The shared [`SpreadStats`] tally is tracker-owned for the same
     /// reason.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        self.mode.write_snapshot(w);
-        self.graph.write_snapshot(w);
-        self.ladder.write_snapshot(w);
-        w.put_len(self.slots.len());
-        for (&i, slot) in &self.slots {
-            w.put_i64(i);
-            w.put_len(slot.seeds.len());
-            for s in &slot.seeds {
-                w.put_u32(s.0);
-            }
-            slot.cover.write_snapshot(w);
-        }
-        w.put_u64(self.k as u64);
-        w.put_bool(self.singleton_prune);
-        self.memo.write_snapshot(w);
-        // Sketch-mode payloads carry the pool after the memo; the other
-        // modes keep the pre-sketch byte format verbatim (committed golden
-        // checkpoints stay valid).
-        if let Some(pool) = &self.sketch {
-            pool.write_snapshot(w);
-        }
-    }
-
-    /// Reconstructs an instance from [`Self::write_snapshot`] bytes,
-    /// billing future oracle calls to `counter`. Scratch arenas start cold
-    /// (they hold no logical state); the spread memo is restored warm.
-    pub fn read_snapshot(r: &mut codec::Reader<'_>, counter: OracleCounter) -> codec::Result<Self> {
-        let mode = SpreadMode::read_snapshot(r)?;
-        let graph = AdnGraph::read_snapshot(r)?;
-        let ladder = ThresholdLadder::read_snapshot(r)?;
-        let n_slots = r.get_len(8)?;
-        let mut slots = BTreeMap::new();
-        for _ in 0..n_slots {
-            let i = r.get_i64()?;
-            let n_seeds = r.get_len(4)?;
-            let mut seeds = Vec::with_capacity(n_seeds);
-            for _ in 0..n_seeds {
-                seeds.push(NodeId(r.get_u32()?));
-            }
-            let cover = CoverSet::read_snapshot(r)?;
-            if slots.insert(i, Slot { seeds, cover }).is_some() {
-                return Err(codec::CodecError::Invalid("duplicate sieve threshold slot"));
-            }
-        }
-        let k = r.get_u64()?;
-        if k == 0 || k > usize::MAX as u64 {
-            return Err(codec::CodecError::Invalid("sieve budget k out of range"));
-        }
-        let k = k as usize;
-        let singleton_prune = r.get_bool()?;
-        if slots.values().any(|s| s.seeds.len() > k) {
-            return Err(codec::CodecError::Invalid("sieve slot exceeds budget k"));
-        }
-        let memo = SpreadMemo::read_snapshot(r, graph.node_index_bound())?;
-        let sketch = if let SpreadMode::Sketch(p) = mode {
-            let pool = SketchPool::read_snapshot(r)?;
-            if pool.params() != p {
-                return Err(codec::CodecError::Invalid(
-                    "sketch pool params disagree with the spread mode",
-                ));
-            }
-            Some(pool)
-        } else {
-            None
-        };
-        Ok(SieveAdn {
-            graph,
-            ladder,
-            slots,
-            k,
-            singleton_prune,
-            counter,
-            scratch: ScratchPool::new(),
-            mode,
-            traversal: TraversalKind::default(),
-            memo,
-            sketch,
-        })
-    }
-
-    /// Serializes the instance as named sections under `prefix` — the
-    /// delta-checkpoint counterpart of [`Self::write_snapshot`]:
-    ///
-    /// - `{prefix}meta`: spread mode, budget `k`, prune flag, node bound.
-    /// - `{prefix}graph.{out,inc}.<c>`: adjacency chunk `c` of each
-    ///   direction ([`tdn_graph::arena::SNAPSHOT_CHUNK`] lists, raw word
-    ///   runs), skipped via arena chunk generations when untouched since
-    ///   the parent save — the ADN is addition-only, so old chunks
-    ///   stabilize and deltas shrink to the recently-touched tail.
-    /// - `{prefix}sieve`: threshold ladder plus every slot's seeds and
-    ///   cover (word runs). Always fresh: covers track every batch.
-    /// - `{prefix}memo`: the spread memo as raw runs.
-    /// - `{prefix}sketch` (sketch mode only): the reverse-reachable pool —
-    ///   roots, per-sketch RNG states, member sets. Always fresh: the pool
-    ///   tracks every batch.
     pub fn write_sections(&self, sink: &mut codec::SectionSink, prefix: &str) {
         let mut w = codec::Writer::new();
         self.mode.write_snapshot(&mut w);
         w.put_u64(self.k as u64);
         w.put_bool(self.singleton_prune);
-        w.put_len(self.graph.node_bound());
+        w.put_len(self.graph.node_index_bound());
         sink.put(&format!("{prefix}meta"), w.into_vec());
-        for c in 0..self.graph.chunk_count() {
-            sink.put_with_gen(
-                &format!("{prefix}graph.out.{c}"),
-                self.graph.out_chunk_generation(c),
-                || {
-                    let mut w = codec::Writer::new();
-                    self.graph.write_out_chunk(c, &mut w);
-                    w.into_vec()
-                },
-            );
-            sink.put_with_gen(
-                &format!("{prefix}graph.inc.{c}"),
-                self.graph.inc_chunk_generation(c),
-                || {
-                    let mut w = codec::Writer::new();
-                    self.graph.write_inc_chunk(c, &mut w);
-                    w.into_vec()
-                },
-            );
-        }
+        self.graph.write_sections(sink, &format!("{prefix}graph."));
         let mut w = codec::Writer::new();
         self.ladder.write_snapshot(&mut w);
         w.put_len(self.slots.len());
@@ -949,11 +841,11 @@ impl SieveAdn {
             w.put_i64(i);
             let seeds: Vec<u32> = slot.seeds.iter().map(|s| s.0).collect();
             w.put_u32_run(&seeds);
-            slot.cover.write_snapshot_words(&mut w);
+            slot.cover.write_snapshot(&mut w);
         }
         sink.put(&format!("{prefix}sieve"), w.into_vec());
         let mut w = codec::Writer::new();
-        self.memo.write_snapshot_raw(&mut w);
+        self.memo.write_snapshot(&mut w);
         sink.put(&format!("{prefix}memo"), w.into_vec());
         if let Some(pool) = &self.sketch {
             let mut w = codec::Writer::new();
@@ -963,8 +855,9 @@ impl SieveAdn {
     }
 
     /// Reconstructs an instance from the sections [`Self::write_sections`]
-    /// emitted under `prefix`, with the same validation as
-    /// [`Self::read_snapshot`].
+    /// emitted under `prefix`, billing future oracle calls to `counter`.
+    /// Scratch arenas start cold (they hold no logical state); the spread
+    /// memo is restored warm.
     pub fn read_sections(
         map: &codec::SectionMap,
         prefix: &str,
@@ -981,29 +874,11 @@ impl SieveAdn {
         let k = k as usize;
         let singleton_prune = r.get_bool()?;
         // The bound is the meta section's last field, so `get_len`'s
-        // bytes-remaining guard cannot apply; instead sanity-check it
+        // bytes-remaining guard cannot apply; the graph reader checks it
         // against the stored chunk sections before allocating.
         let bound = r.get_u64()? as usize;
         r.finish()?;
-        let chunks = bound.div_ceil(tdn_graph::arena::SNAPSHOT_CHUNK);
-        if chunks > 0 && !map.contains(&format!("{prefix}graph.out.{}", chunks - 1)) {
-            return Err(invalid(
-                "sieve node bound disagrees with stored graph chunks",
-            ));
-        }
-        let mut graph = AdnGraph::new();
-        graph.ensure_node_bound(bound);
-        for c in 0..chunks {
-            let lists = (bound - c * tdn_graph::arena::SNAPSHOT_CHUNK)
-                .min(tdn_graph::arena::SNAPSHOT_CHUNK);
-            let mut r = map.reader(&format!("{prefix}graph.out.{c}"))?;
-            graph.read_out_chunk(c, lists, &mut r)?;
-            r.finish()?;
-            let mut r = map.reader(&format!("{prefix}graph.inc.{c}"))?;
-            graph.read_inc_chunk(c, lists, &mut r)?;
-            r.finish()?;
-        }
-        graph.rebuild_indexes()?;
+        let graph = AdnGraph::read_sections(map, &format!("{prefix}graph."), bound)?;
         let mut r = map.reader(&format!("{prefix}sieve"))?;
         let ladder = ThresholdLadder::read_snapshot(&mut r)?;
         let n_slots = r.get_len(8)?;
@@ -1014,14 +889,14 @@ impl SieveAdn {
             if seeds.len() > k {
                 return Err(invalid("sieve slot exceeds budget k"));
             }
-            let cover = CoverSet::read_snapshot_words(&mut r)?;
+            let cover = CoverSet::read_snapshot(&mut r)?;
             if slots.insert(i, Slot { seeds, cover }).is_some() {
                 return Err(invalid("duplicate sieve threshold slot"));
             }
         }
         r.finish()?;
         let mut r = map.reader(&format!("{prefix}memo"))?;
-        let memo = SpreadMemo::read_snapshot_raw(&mut r, graph.node_index_bound())?;
+        let memo = SpreadMemo::read_snapshot(&mut r, graph.node_index_bound())?;
         r.finish()?;
         let sketch = if let SpreadMode::Sketch(p) = mode {
             let mut r = map.reader(&format!("{prefix}sketch"))?;
@@ -1170,23 +1045,13 @@ impl SieveAdnTracker {
         stats.note_shed(3);
     }
 
-    /// Serializes the tracker (instance state, the oracle tally, and the
-    /// incremental-engine tallies) for checkpointing.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_u64(self.counter.get());
-        self.inner.spread_stats().write_snapshot(w);
-        self.inner.write_snapshot(w);
-    }
-
-    /// Serializes the tracker as named sections — the delta-checkpoint
-    /// counterpart of [`Self::write_snapshot`]: a fresh `meta` section
-    /// (oracle tally + engine tallies, including the shed counters) plus
-    /// the instance's sections under the `adn.` prefix, whose stable
-    /// adjacency chunks are skipped relative to the parent save.
+    /// Serializes the tracker as named sections: a `meta` section (oracle
+    /// tally + engine tallies, including the shed counters) plus the
+    /// instance's sections under the `adn.` prefix.
     pub fn write_sections(&self, sink: &mut codec::SectionSink) {
         let mut w = codec::Writer::new();
         w.put_u64(self.counter.get());
-        self.inner.spread_stats().write_snapshot_v3(&mut w);
+        self.inner.spread_stats().write_snapshot(&mut w);
         sink.put("meta", w.into_vec());
         self.inner.write_sections(sink, "adn.");
     }
@@ -1198,28 +1063,11 @@ impl SieveAdnTracker {
     pub fn read_sections(map: &codec::SectionMap) -> Result<Self, codec::SectionError> {
         let mut r = map.reader("meta")?;
         let calls = r.get_u64()?;
-        let stats_snap = SpreadStatsSnapshot::read_snapshot_v3(&mut r)?;
+        let stats_snap = SpreadStatsSnapshot::read_snapshot(&mut r)?;
         r.finish()?;
         let counter = OracleCounter::new();
         counter.set(calls);
         let inner = SieveAdn::read_sections(map, "adn.", counter.clone())?;
-        inner.spread_stats_handle().restore(&stats_snap);
-        Ok(SieveAdnTracker {
-            inner,
-            counter,
-            budget: None,
-        })
-    }
-
-    /// Reconstructs a tracker from [`Self::write_snapshot`] bytes. The
-    /// restored tracker resumes the oracle and engine tallies at the saved
-    /// counts.
-    pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        let calls = r.get_u64()?;
-        let stats_snap = SpreadStatsSnapshot::read_snapshot(r)?;
-        let counter = OracleCounter::new();
-        counter.set(calls);
-        let inner = SieveAdn::read_snapshot(r, counter.clone())?;
         inner.spread_stats_handle().restore(&stats_snap);
         Ok(SieveAdnTracker {
             inner,
@@ -1253,6 +1101,17 @@ impl InfluenceTracker for SieveAdnTracker {
 mod tests {
     use super::*;
     use tdn_graph::ReachScratch;
+
+    /// Saves `inst` as a lone base container of `adn.`-prefixed sections.
+    fn sections_of(inst: &SieveAdn) -> Vec<u8> {
+        let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
+        inst.write_sections(&mut sink, "adn.");
+        sink.finish().0
+    }
+
+    fn restore(blob: &[u8], counter: OracleCounter) -> Result<SieveAdn, codec::SectionError> {
+        SieveAdn::read_sections(&codec::SectionMap::from_single(blob)?, "adn.", counter)
+    }
 
     fn inst(k: usize, eps: f64) -> SieveAdn {
         SieveAdn::new(k, eps, true, OracleCounter::new())
@@ -1382,16 +1241,10 @@ mod tests {
         s.set_spread_mode(SpreadMode::Sketch(params));
         assert_eq!(s.sketch_pool().unwrap().universe_len(), 5);
         // Snapshot round trip preserves the pool bit-for-bit.
-        let mut w = codec::Writer::new();
-        s.write_snapshot(&mut w);
-        let bytes = w.into_vec();
-        let mut r = codec::Reader::new(&bytes);
-        let back = SieveAdn::read_snapshot(&mut r, OracleCounter::new()).expect("round trip");
-        r.finish().expect("fully consumed");
+        let bytes = sections_of(&s);
+        let back = restore(&bytes, OracleCounter::new()).expect("round trip");
         assert_eq!(back.spread_mode(), SpreadMode::Sketch(params));
-        let mut w2 = codec::Writer::new();
-        back.write_snapshot(&mut w2);
-        assert_eq!(bytes, w2.into_vec());
+        assert_eq!(bytes, sections_of(&back));
     }
 
     /// The incremental engine's contract in miniature: identical solutions
@@ -1480,11 +1333,6 @@ mod tests {
                 );
             }
         }
-        let snapshot = |inst: &SieveAdn| {
-            let mut w = codec::Writer::new();
-            inst.write_snapshot(&mut w);
-            w.into_vec()
-        };
         let (wide, _) = &cells[0];
         for (inst, _) in &cells[1..] {
             let tr = inst.traversal();
@@ -1494,7 +1342,7 @@ mod tests {
                 "engine tallies must not depend on lane batching ({tr:?})"
             );
             assert!(
-                snapshot(inst) == snapshot(wide),
+                sections_of(inst) == sections_of(wide),
                 "checkpoint bytes must not depend on lane batching ({tr:?})"
             );
         }
@@ -1561,23 +1409,39 @@ mod tests {
                 (NodeId(0), NodeId(2)),
                 (NodeId(5), NodeId(6)),
             ]);
-            let mut w = codec::Writer::new();
-            a.write_snapshot(&mut w);
-            let bytes = w.into_vec();
-            let mut r = codec::Reader::new(&bytes);
-            let mut b = SieveAdn::read_snapshot(&mut r, counter.clone()).expect("round trip");
-            r.finish().expect("fully consumed");
+            let bytes = sections_of(&a);
+            let mut b = restore(&bytes, counter.clone()).expect("round trip");
             assert_eq!(b.spread_mode(), mode);
             // Both copies evolve identically (same counter: feed them the
             // same batch one after the other and compare answers).
             b.feed([(NodeId(2), NodeId(7)), (NodeId(6), NodeId(0))]);
             a.feed([(NodeId(2), NodeId(7)), (NodeId(6), NodeId(0))]);
             assert_eq!(a.query(), b.query(), "mode {mode:?}");
-            // A corrupt mode tag is a typed error, never a panic.
-            let mut corrupt = bytes.clone();
-            corrupt[0] = 9;
-            let mut r = codec::Reader::new(&corrupt);
-            assert!(SieveAdn::read_snapshot(&mut r, counter.clone()).is_err());
+            // A corrupt mode tag, budget, node bound, ladder, or memo is a
+            // typed error, never a panic.
+            let map = codec::SectionMap::from_single(&bytes).unwrap();
+            let tamper = |name: &str, at: usize, byte: u8| {
+                let mut w = codec::SectionWriter::new();
+                for entry in codec::SectionReader::parse(&bytes).unwrap().toc().entries() {
+                    let mut payload = map.payload(&entry.name).unwrap().to_vec();
+                    if entry.name == name {
+                        payload[at] = byte;
+                    }
+                    w.put_section(&entry.name, payload);
+                }
+                restore(&w.finish(), counter.clone())
+            };
+            assert!(tamper("adn.meta", 0, 9).is_err(), "mode tag");
+            assert!(tamper("adn.meta", 1, 0).is_err(), "k = 0");
+            assert!(
+                tamper("adn.meta", 10, 0xFF).is_err(),
+                "bound past the chunks"
+            );
+            assert!(
+                tamper("adn.memo", 0, 0xFF).is_err(),
+                "memo larger than graph"
+            );
+            assert!(tamper("adn.sieve", 7, 0xFF).is_err(), "ladder eps");
         }
     }
 
@@ -1642,9 +1506,8 @@ mod tests {
         s.write_sections(&mut sink, "adn.");
         let (fresh_delta, refs_delta) = sink.counts();
         let (delta, _) = sink.finish();
-        // Nothing changed between the saves, so every section refs the
-        // parent: the four graph chunks via generation match, and the
-        // meta/sieve/memo sections via byte-identical checksums.
+        // Nothing changed between the saves, so every section — four graph
+        // chunks plus meta, sieve and memo — refs the parent by checksum.
         assert_eq!(refs_delta, 7, "unchanged instance → all sections ref");
         assert_eq!(fresh_delta, 0);
         assert!(delta.len() < base.len());

@@ -10,7 +10,7 @@
 //! insensitive to edge multiplicity, and instances may be fed the same edge
 //! via several paths in HISTAPPROX (copy + range feed + fresh batch).
 
-use crate::arena::AdjPool;
+use crate::arena::{AdjPool, SNAPSHOT_CHUNK};
 use crate::hash::FxHashSet;
 use crate::node::{pack_pair, NodeId};
 use crate::reach::{reverse_reachable_within, ReachScratch};
@@ -189,83 +189,68 @@ impl AdnGraph {
         self.inc.as_slice(v.index())
     }
 
-    /// Serializes the graph for checkpointing.
+    /// Serializes both adjacency directions as named sections under
+    /// `prefix`: `{prefix}out.<c>` and `{prefix}inc.<c>` hold chunk `c`
+    /// ([`crate::arena::SNAPSHOT_CHUNK`] lists) as raw word runs.
     ///
-    /// Both adjacency directions are written **verbatim, in list order**:
-    /// BFS traversal order — and therefore the `V̄_t` sequence the sieves
-    /// replay — depends on it, so a warm restart must reproduce it exactly
-    /// for the bit-identical-restore guarantee. The `pairs` and `nodes`
-    /// sets are derivable from the adjacency and are rebuilt on restore.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        let put_pool = |w: &mut codec::Writer, pool: &AdjPool<NodeId>| {
-            w.put_len(pool.node_bound());
-            for n in 0..pool.node_bound() {
-                let list = pool.as_slice(n);
-                w.put_len(list.len());
-                for n in list {
-                    w.put_u32(n.0);
-                }
+    /// Lists are written **verbatim, in list order**: BFS traversal order —
+    /// and therefore the `V̄_t` sequence the sieves replay — depends on it,
+    /// so a warm restart must reproduce it exactly for the
+    /// bit-identical-restore guarantee. `inc` is fully determined by `out`
+    /// but its *list order* is not (it interleaves by arrival), so it is
+    /// stored verbatim too. The ADN is addition-only, so old chunks
+    /// stabilize and a delta save refs them. The `pairs` and `nodes` sets
+    /// are derivable from the adjacency and are rebuilt on restore.
+    pub fn write_sections(&self, sink: &mut codec::SectionSink, prefix: &str) {
+        for c in 0..self.out.chunk_count() {
+            for (pool, dir) in [(&self.out, "out"), (&self.inc, "inc")] {
+                let mut w = codec::Writer::new();
+                pool.write_chunk_snapshot(c, &mut w);
+                sink.put(&format!("{prefix}{dir}.{c}"), w.into_vec());
             }
-        };
-        put_pool(w, &self.out);
-        // `inc` is fully determined by `out` but its *list order* is not
-        // (it interleaves by arrival), so it is stored verbatim too.
-        put_pool(w, &self.inc);
+        }
     }
 
-    /// Reconstructs a graph from [`Self::write_snapshot`] bytes.
-    ///
-    /// Rebuilds the pair-dedup set and node set from the forward adjacency
-    /// and cross-checks the reverse adjacency edge count, so corrupted
-    /// snapshots fail loudly instead of producing a silently skewed graph.
-    pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        let n_out = r.get_len(8)?;
-        let mut out: AdjPool<NodeId> = AdjPool::new();
-        out.ensure_node_bound(n_out);
-        for n in 0..n_out {
-            let len = r.get_len(4)?;
-            for _ in 0..len {
-                out.push(n, NodeId(r.get_u32()?));
-            }
-        }
-        let n_inc = r.get_len(8)?;
-        if n_inc != n_out {
+    /// Reconstructs a graph of node bound `bound` from the sections
+    /// [`Self::write_sections`] emitted under `prefix`. Rebuilds the
+    /// pair-dedup set and node set from the forward adjacency and
+    /// validates that the reverse adjacency is exactly its transpose
+    /// (bounds-checked, duplicate-free, same edge set): reverse BFS — and
+    /// therefore the `V̄_t` replay — walks it, so a drifted `inc` would
+    /// silently skew results or index out of range.
+    pub fn read_sections(
+        map: &codec::SectionMap,
+        prefix: &str,
+        bound: usize,
+    ) -> Result<Self, codec::SectionError> {
+        let chunks = bound.div_ceil(SNAPSHOT_CHUNK);
+        // `bound` comes from the caller's payload: check it against the
+        // stored chunks before allocating for it.
+        if chunks > 0 && !map.contains(&format!("{prefix}out.{}", chunks - 1)) {
             return Err(codec::CodecError::Invalid(
-                "AdnGraph adjacency directions disagree on node bound",
-            ));
+                "AdnGraph node bound disagrees with stored chunks",
+            )
+            .into());
         }
-        let mut inc: AdjPool<NodeId> = AdjPool::new();
-        inc.ensure_node_bound(n_inc);
-        for n in 0..n_inc {
-            let len = r.get_len(4)?;
-            for _ in 0..len {
-                inc.push(n, NodeId(r.get_u32()?));
+        let mut g = AdnGraph::new();
+        g.out.ensure_node_bound(bound);
+        g.inc.ensure_node_bound(bound);
+        for c in 0..chunks {
+            let lists = (bound - c * SNAPSHOT_CHUNK).min(SNAPSHOT_CHUNK);
+            for (pool, dir) in [(&mut g.out, "out"), (&mut g.inc, "inc")] {
+                let mut r = map.reader(&format!("{prefix}{dir}.{c}"))?;
+                pool.read_chunk_snapshot(c, lists, &mut r)?;
+                r.finish()?;
             }
         }
-        let mut g = AdnGraph {
-            out,
-            inc,
-            pairs: FxHashSet::default(),
-            nodes: FxHashSet::default(),
-        };
         g.rebuild_indexes()?;
         Ok(g)
     }
 
-    /// Rebuilds the derived `pairs`/`nodes` sets from the adjacency pools
-    /// and validates that the reverse adjacency is exactly the transpose
-    /// of the forward one (bounds-checked, duplicate-free, same edge set):
-    /// reverse BFS — and therefore the `V̄_t` replay — walks it, so a
-    /// drifted `inc` would silently skew results or index out of range.
-    /// The restore-finalization step shared by the element-wise and the
-    /// sectioned (chunked) read paths.
-    pub fn rebuild_indexes(&mut self) -> codec::Result<()> {
+    /// Rebuilds the derived `pairs`/`nodes` sets from the adjacency pools,
+    /// validating the transpose (see [`Self::read_sections`]).
+    fn rebuild_indexes(&mut self) -> codec::Result<()> {
         let n_out = self.out.node_bound();
-        if self.inc.node_bound() != n_out {
-            return Err(codec::CodecError::Invalid(
-                "AdnGraph adjacency directions disagree on node bound",
-            ));
-        }
         let mut pairs = FxHashSet::default();
         let mut nodes = FxHashSet::default();
         for u in 0..n_out {
@@ -308,67 +293,6 @@ impl AdnGraph {
         self.pairs = pairs;
         self.nodes = nodes;
         Ok(())
-    }
-
-    /// Node-index bound of the adjacency pools (both directions always
-    /// agree; [`Self::add_edge`] grows them in lockstep).
-    pub fn node_bound(&self) -> usize {
-        self.out.node_bound()
-    }
-
-    /// Grows both adjacency pools to `bound` slots (no-op if already that
-    /// large) — the sectioned restore path sizes the pools before reading
-    /// chunks into them.
-    pub fn ensure_node_bound(&mut self, bound: usize) {
-        self.out.ensure_node_bound(bound);
-        self.inc.ensure_node_bound(bound);
-    }
-
-    /// Number of snapshot chunks covering the adjacency pools (see
-    /// [`crate::arena::SNAPSHOT_CHUNK`]).
-    pub fn chunk_count(&self) -> usize {
-        self.out.chunk_count()
-    }
-
-    /// Generation at which forward-adjacency chunk `c` last changed.
-    pub fn out_chunk_generation(&self, c: usize) -> u64 {
-        self.out.chunk_generation(c)
-    }
-
-    /// Generation at which reverse-adjacency chunk `c` last changed.
-    pub fn inc_chunk_generation(&self, c: usize) -> u64 {
-        self.inc.chunk_generation(c)
-    }
-
-    /// Serializes forward-adjacency chunk `c` as raw word runs.
-    pub fn write_out_chunk(&self, c: usize, w: &mut codec::Writer) {
-        self.out.write_chunk_snapshot(c, w);
-    }
-
-    /// Serializes reverse-adjacency chunk `c` as raw word runs.
-    pub fn write_inc_chunk(&self, c: usize, w: &mut codec::Writer) {
-        self.inc.write_chunk_snapshot(c, w);
-    }
-
-    /// Restores forward-adjacency chunk `c` by bulk copy. Call
-    /// [`Self::rebuild_indexes`] once after all chunks are in.
-    pub fn read_out_chunk(
-        &mut self,
-        c: usize,
-        expected_lists: usize,
-        r: &mut codec::Reader<'_>,
-    ) -> codec::Result<()> {
-        self.out.read_chunk_snapshot(c, expected_lists, r)
-    }
-
-    /// Restores reverse-adjacency chunk `c` by bulk copy.
-    pub fn read_inc_chunk(
-        &mut self,
-        c: usize,
-        expected_lists: usize,
-        r: &mut codec::Reader<'_>,
-    ) -> codec::Result<()> {
-        self.inc.read_chunk_snapshot(c, expected_lists, r)
     }
 
     /// Releases recycled arena blocks and excess hash-set capacity back to
@@ -499,6 +423,28 @@ mod tests {
         assert!(!g.contains_node(NodeId(42)));
     }
 
+    /// Saves `g` as a lone base container of `g.`-prefixed sections.
+    fn sections_of(g: &AdnGraph) -> Vec<u8> {
+        let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
+        g.write_sections(&mut sink, "g.");
+        sink.finish().0
+    }
+
+    fn restore(blob: &[u8], bound: usize) -> Result<AdnGraph, codec::SectionError> {
+        AdnGraph::read_sections(&codec::SectionMap::from_single(blob)?, "g.", bound)
+    }
+
+    /// Asserts `g` and `h` hold the same adjacency, list order included.
+    fn assert_same_adjacency(g: &AdnGraph, h: &AdnGraph) {
+        assert_eq!(g.edge_count(), h.edge_count());
+        assert_eq!(g.node_count(), h.node_count());
+        assert_eq!(g.node_index_bound(), h.node_index_bound());
+        for n in 0..g.node_index_bound() as u32 {
+            assert_eq!(g.out_neighbors(NodeId(n)), h.out_neighbors(NodeId(n)));
+            assert_eq!(g.in_neighbors(NodeId(n)), h.in_neighbors(NodeId(n)));
+        }
+    }
+
     #[test]
     fn snapshot_round_trip_preserves_adjacency_order() {
         let mut g = AdnGraph::new();
@@ -507,18 +453,9 @@ mod tests {
         for (u, v) in [(3u32, 1u32), (0, 1), (3, 0), (2, 1), (0, 2)] {
             g.add_edge(NodeId(u), NodeId(v));
         }
-        let mut w = codec::Writer::new();
-        g.write_snapshot(&mut w);
-        let bytes = w.into_vec();
-        let mut r = codec::Reader::new(&bytes);
-        let h = AdnGraph::read_snapshot(&mut r).expect("round trip");
-        r.finish().expect("fully consumed");
-        assert_eq!(g.edge_count(), h.edge_count());
-        assert_eq!(g.node_count(), h.node_count());
-        for n in 0..4u32 {
-            assert_eq!(g.out_neighbors(NodeId(n)), h.out_neighbors(NodeId(n)));
-            assert_eq!(g.in_neighbors(NodeId(n)), h.in_neighbors(NodeId(n)));
-        }
+        let h = restore(&sections_of(&g), g.node_index_bound()).expect("round trip");
+        assert_same_adjacency(&g, &h);
+        assert!(h.has_edge(NodeId(3), NodeId(0)) && !h.has_edge(NodeId(0), NodeId(3)));
     }
 
     #[test]
@@ -613,34 +550,23 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             (state >> 33) % m
         };
-        for _ in 0..400 {
-            g.add_edge(NodeId(rnd(90) as u32), NodeId(rnd(90) as u32));
+        // Span three snapshot chunks.
+        for _ in 0..1500 {
+            g.add_edge(NodeId(rnd(2100) as u32), NodeId(rnd(2100) as u32));
         }
-        // Serialize every chunk, restore into a fresh graph, finalize.
-        let mut h = AdnGraph::new();
-        for c in 0..g.chunk_count() {
-            let lo = c * crate::arena::SNAPSHOT_CHUNK;
-            let expected = (lo + crate::arena::SNAPSHOT_CHUNK).min(g.node_bound()) - lo;
-            let mut w = codec::Writer::new();
-            g.write_out_chunk(c, &mut w);
-            let bytes = w.into_vec();
-            let mut r = codec::Reader::new(&bytes);
-            h.read_out_chunk(c, expected, &mut r).unwrap();
-            r.finish().unwrap();
-            let mut w = codec::Writer::new();
-            g.write_inc_chunk(c, &mut w);
-            let bytes = w.into_vec();
-            let mut r = codec::Reader::new(&bytes);
-            h.read_inc_chunk(c, expected, &mut r).unwrap();
-            r.finish().unwrap();
+        let blob = sections_of(&g);
+        let toc = codec::SectionReader::parse(&blob).unwrap().toc().clone();
+        assert_eq!(toc.entries().len(), 6, "out + inc per chunk");
+        let mut h = restore(&blob, g.node_index_bound()).expect("transpose validates");
+        assert_same_adjacency(&g, &h);
+        // The restored graph grows exactly like the live one, dedup state
+        // included.
+        for _ in 0..300 {
+            let (u, v) = (NodeId(rnd(2300) as u32), NodeId(rnd(2300) as u32));
+            assert_eq!(g.add_edge(u, v), h.add_edge(u, v), "({u:?},{v:?})");
         }
-        h.rebuild_indexes().expect("transpose validates");
-        assert_eq!(g.edge_count(), h.edge_count());
-        assert_eq!(g.node_count(), h.node_count());
-        for n in 0..g.node_bound() as u32 {
-            assert_eq!(g.out_neighbors(NodeId(n)), h.out_neighbors(NodeId(n)));
-            assert_eq!(g.in_neighbors(NodeId(n)), h.in_neighbors(NodeId(n)));
-        }
+        assert_same_adjacency(&g, &h);
+        assert_eq!(sections_of(&g), sections_of(&h));
     }
 
     #[test]
@@ -656,7 +582,7 @@ mod tests {
         let before = g.clone();
         g.release_recycled_memory();
         assert_eq!(g.edge_count(), before.edge_count());
-        for n in 0..g.node_bound() as u32 {
+        for n in 0..g.node_index_bound() as u32 {
             assert_eq!(g.out_neighbors(NodeId(n)), before.out_neighbors(NodeId(n)));
             assert_eq!(g.in_neighbors(NodeId(n)), before.in_neighbors(NodeId(n)));
         }
@@ -668,14 +594,56 @@ mod tests {
     fn snapshot_corruption_is_rejected() {
         let mut g = AdnGraph::new();
         g.add_edge(NodeId(0), NodeId(1));
-        let mut w = codec::Writer::new();
-        g.write_snapshot(&mut w);
-        let bytes = w.into_vec();
-        // Every truncation errors instead of panicking.
-        for cut in 0..bytes.len() {
-            let mut r = codec::Reader::new(&bytes[..cut]);
-            let res = AdnGraph::read_snapshot(&mut r).and_then(|_| r.finish());
-            assert!(res.is_err(), "prefix of {cut} bytes decoded");
+        g.add_edge(NodeId(2), NodeId(1));
+        let blob = sections_of(&g);
+        let map = codec::SectionMap::from_single(&blob).unwrap();
+        let out = map.payload("g.out.0").unwrap();
+        let inc = map.payload("g.inc.0").unwrap();
+        // Restores a container holding the given chunk-0 payloads (`None`
+        // leaves the reverse direction out).
+        let decode = |out: &[u8], inc: Option<&[u8]>, bound: usize| {
+            let mut w = codec::SectionWriter::new();
+            w.put_section("g.out.0", out.to_vec());
+            if let Some(inc) = inc {
+                w.put_section("g.inc.0", inc.to_vec());
+            }
+            restore(&w.finish(), bound)
+        };
+        decode(out, Some(inc), 3).expect("reassembled container restores");
+        // Every truncation of either chunk errors instead of panicking.
+        for cut in 0..out.len() {
+            assert!(decode(&out[..cut], Some(inc), 3).is_err(), "out cut {cut}");
         }
+        for cut in 0..inc.len() {
+            assert!(decode(out, Some(&inc[..cut]), 3).is_err(), "inc cut {cut}");
+        }
+        // A bound that disagrees with the stored chunks, or a missing
+        // direction, is typed corruption.
+        assert!(decode(out, Some(inc), 2).is_err());
+        assert!(decode(out, Some(inc), 5000).is_err());
+        assert!(decode(out, None, 3).is_err());
+        // Hand-encoded chunks: list lengths, then entries.
+        let chunk = |lens: &[u32], entries: &[u32]| {
+            let mut w = codec::Writer::new();
+            w.put_u32_run(lens);
+            w.put_u32_run(entries);
+            w.into_vec()
+        };
+        let ok = |out: &[u8], inc: &[u8]| decode(out, Some(inc), 3).is_ok();
+        let (out_ok, inc_ok) = (chunk(&[1, 0, 1], &[1, 1]), chunk(&[0, 2, 0], &[0, 2]));
+        assert!(ok(&out_ok, &inc_ok), "valid hand encoding");
+        // Reverse adjacency that is not the transpose of forward.
+        assert!(!ok(&out_ok, &chunk(&[0, 1, 0], &[0])));
+        assert!(!ok(&out_ok, &chunk(&[0, 2, 0], &[0, 0])));
+        assert!(!ok(&out_ok, &chunk(&[1, 1, 0], &[1, 0])));
+        // Duplicate forward pairs and endpoints outside the bound.
+        assert!(!ok(
+            &chunk(&[2, 0, 0], &[1, 1]),
+            &chunk(&[0, 2, 0], &[0, 0])
+        ));
+        assert!(!ok(&chunk(&[1, 0, 1], &[9, 1]), &inc_ok));
+        // Lengths that disagree with the entry run or the list count.
+        assert!(!ok(&chunk(&[1, 0, 1], &[1]), &inc_ok));
+        assert!(!ok(&chunk(&[1, 0], &[1]), &inc_ok));
     }
 }

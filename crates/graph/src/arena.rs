@@ -20,10 +20,10 @@
 /// Smallest block capacity handed to a non-empty list.
 const MIN_BLOCK: u32 = 4;
 
-/// Node lists per dirty-tracking / snapshot chunk: chunk `c` covers list
-/// indices `[c·SNAPSHOT_CHUNK, (c+1)·SNAPSHOT_CHUNK)`. Sectioned saves
-/// serialize one section per chunk and skip chunks whose generation has
-/// not moved since the last save.
+/// Node lists per snapshot chunk: chunk `c` covers list indices
+/// `[c·SNAPSHOT_CHUNK, (c+1)·SNAPSHOT_CHUNK)`. Sectioned saves serialize
+/// one section per chunk, so a chunk whose bytes did not change since the
+/// parent save becomes a checksum-matched ref.
 pub const SNAPSHOT_CHUNK: usize = 1024;
 
 /// One node's list view into the shared buffer.
@@ -47,14 +47,6 @@ pub struct AdjPool<T: Copy> {
     lists: Vec<ListRef>,
     /// `free[c]` holds starts of recycled blocks of capacity `1 << c`.
     free: Vec<Vec<usize>>,
-    /// Bumped on every *content* mutation (pushes, removals, rewrites,
-    /// node-table growth). Block moves (`rehome`, shrink, free-list
-    /// release) do not bump it: they change layout, not the serialized
-    /// list contents.
-    generation: u64,
-    /// Per-chunk copy of `generation` at the chunk's last content
-    /// mutation (see [`SNAPSHOT_CHUNK`]). Indexed by chunk, grown lazily.
-    chunk_gen: Vec<u64>,
 }
 
 impl<T: Copy> Default for AdjPool<T> {
@@ -70,29 +62,7 @@ impl<T: Copy> AdjPool<T> {
             buf: Vec::new(),
             lists: Vec::new(),
             free: Vec::new(),
-            generation: 0,
-            chunk_gen: Vec::new(),
         }
-    }
-
-    /// Marks node `n`'s chunk dirty at a fresh generation.
-    #[inline]
-    fn touch(&mut self, n: usize) {
-        self.generation += 1;
-        let c = n / SNAPSHOT_CHUNK;
-        if self.chunk_gen.len() <= c {
-            self.chunk_gen.resize(c + 1, 0);
-        }
-        self.chunk_gen[c] = self.generation;
-    }
-
-    /// Marks node `n`'s chunk content-dirty without mutating the pool —
-    /// for wrappers that serialize satellite per-node state (e.g. lazy
-    /// dead-entry counters) alongside the list contents in the same
-    /// section.
-    #[inline]
-    pub(crate) fn mark_dirty(&mut self, n: usize) {
-        self.touch(n);
     }
 
     /// Number of node slots (the exclusive node-index bound).
@@ -104,18 +74,7 @@ impl<T: Copy> AdjPool<T> {
     /// Grows the node-slot table to at least `bound` (empty lists).
     pub fn ensure_node_bound(&mut self, bound: usize) {
         if self.lists.len() < bound {
-            // Growth changes the serialized shape of every chunk gaining
-            // slots: the old tail chunk and everything after it.
-            let first = self.lists.len() / SNAPSHOT_CHUNK;
             self.lists.resize(bound, ListRef::default());
-            self.generation += 1;
-            let last = (bound - 1) / SNAPSHOT_CHUNK;
-            if self.chunk_gen.len() <= last {
-                self.chunk_gen.resize(last + 1, 0);
-            }
-            for g in &mut self.chunk_gen[first..=last] {
-                *g = self.generation;
-            }
         }
     }
 
@@ -130,17 +89,10 @@ impl<T: Copy> AdjPool<T> {
 
     /// Mutable access to the list of node `n` (empty slice if out of
     /// bounds). Entries may be rewritten in place; the length is fixed.
-    /// Conservatively marks the chunk dirty (the caller holds a mutable
-    /// view and is assumed to write through it).
     #[inline]
     pub fn as_mut_slice(&mut self, n: usize) -> &mut [T] {
         match self.lists.get(n) {
-            Some(&l) => {
-                if l.len > 0 {
-                    self.touch(n);
-                }
-                &mut self.buf[l.start..l.start + l.len as usize]
-            }
+            Some(&l) => &mut self.buf[l.start..l.start + l.len as usize],
             None => &mut [],
         }
     }
@@ -229,7 +181,6 @@ impl<T: Copy> AdjPool<T> {
         let l = &mut self.lists[n];
         self.buf[l.start + l.len as usize] = item;
         l.len += 1;
-        self.touch(n);
     }
 
     /// Removes and returns entry `idx` of node `n`'s list in O(1) by
@@ -245,7 +196,6 @@ impl<T: Copy> AdjPool<T> {
         let item = self.buf[l.start + idx];
         self.buf[l.start + idx] = self.buf[l.start + last];
         self.lists[n].len -= 1;
-        self.touch(n);
         self.maybe_shrink(n);
         item
     }
@@ -265,10 +215,7 @@ impl<T: Copy> AdjPool<T> {
                 write += 1;
             }
         }
-        if write as u32 != l.len {
-            self.lists[n].len = write as u32;
-            self.touch(n);
-        }
+        self.lists[n].len = write as u32;
         self.maybe_shrink(n);
     }
 
@@ -308,26 +255,12 @@ impl<T: Copy> AdjPool<T> {
                 cap,
             };
         }
-        self.touch(n);
-    }
-
-    /// The pool-wide content generation: bumped on every mutation that
-    /// changes what a snapshot would serialize.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Number of snapshot chunks covering the current node table.
     #[inline]
     pub fn chunk_count(&self) -> usize {
         self.lists.len().div_ceil(SNAPSHOT_CHUNK)
-    }
-
-    /// Generation at which chunk `chunk` last changed (0 = never touched).
-    #[inline]
-    pub fn chunk_generation(&self, chunk: usize) -> u64 {
-        self.chunk_gen.get(chunk).copied().unwrap_or(0)
     }
 
     /// Releases recycled free-list blocks sitting at the arena tail and
@@ -369,7 +302,7 @@ impl<T: Copy> AdjPool<T> {
     }
 
     /// Approximate heap footprint in bytes (arena buffer, list table, free
-    /// lists, chunk generation table).
+    /// lists).
     pub fn approx_bytes(&self) -> usize {
         self.buf.capacity() * std::mem::size_of::<T>()
             + self.lists.capacity() * std::mem::size_of::<ListRef>()
@@ -378,7 +311,6 @@ impl<T: Copy> AdjPool<T> {
                 .iter()
                 .map(|f| f.capacity() * std::mem::size_of::<usize>())
                 .sum::<usize>()
-            + self.chunk_gen.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Arena occupancy counters for diagnostics and block-reuse tests:
@@ -639,30 +571,42 @@ mod tests {
         check(&p, "after regrowth");
     }
 
+    /// Block moves — growth rehomes, shrink-on-retain, free-list release —
+    /// change where lists live, never what a chunk serializes to. That is
+    /// what lets checksum dedup turn an untouched chunk into a ref no
+    /// matter how the arena reshuffled its blocks between saves.
     #[test]
     fn generations_track_content_not_layout() {
-        let mut p: AdjPool<u32> = AdjPool::new();
-        assert_eq!(p.generation(), 0);
-        p.push(0, 1);
-        let g1 = p.generation();
-        assert!(g1 > 0);
-        assert_eq!(p.chunk_generation(0), g1);
-        // Reading does not bump.
-        let _ = p.as_slice(0);
-        assert_eq!(p.generation(), g1);
-        // A mutation in a far chunk bumps that chunk, not chunk 0.
-        p.push(SNAPSHOT_CHUNK * 3 + 5, 9);
-        assert!(p.chunk_generation(3) > g1);
-        // Growth dirtied the intermediate chunks too (their serialized
-        // list counts changed), all at the same generation event window.
-        assert!(p.chunk_generation(1) > g1);
-        assert!(p.chunk_generation(2) > g1);
-        let g0 = p.chunk_generation(0);
-        // Layout-only changes (free-tail release) never bump.
-        let g = p.generation();
+        use crate::node::NodeId;
+        let chunk_bytes = |p: &AdjPool<NodeId>, c: usize| {
+            let mut w = codec::Writer::new();
+            p.write_chunk_snapshot(c, &mut w);
+            w.into_vec()
+        };
+        let mut p: AdjPool<NodeId> = AdjPool::new();
+        for i in 0..40u32 {
+            p.push(3, NodeId(i));
+        }
+        p.push(SNAPSHOT_CHUNK + 1, NodeId(500));
+        let (c0, c1) = (chunk_bytes(&p, 0), chunk_bytes(&p, 1));
+        // Growth in chunk 1 rehomes its block; chunk 0 keeps its bytes.
+        for i in 0..20u32 {
+            p.push(SNAPSHOT_CHUNK + 1, NodeId(i));
+        }
+        assert_eq!(chunk_bytes(&p, 0), c0, "a foreign rehome moved chunk 0");
+        // Shrink-on-retain rehomes chunk 1's list into a smaller block and
+        // back to its earlier content: same bytes as before the growth.
+        p.retain(SNAPSHOT_CHUNK + 1, |&v| v == NodeId(500));
+        assert_eq!(chunk_bytes(&p, 1), c1, "shrink rehome changed bytes");
+        let (_, recycled) = p.arena_stats();
+        assert!(recycled > 0, "the shrink must have recycled a block");
+        // Free-list release drops tail blocks; no chunk changes.
         p.release_free_tail();
-        assert_eq!(p.generation(), g);
-        assert_eq!(p.chunk_generation(0), g0);
+        assert_eq!(chunk_bytes(&p, 0), c0);
+        assert_eq!(chunk_bytes(&p, 1), c1);
+        // A content change does move the bytes.
+        p.push(3, NodeId(99));
+        assert_ne!(chunk_bytes(&p, 0), c0);
     }
 
     #[test]

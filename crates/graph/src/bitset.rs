@@ -3,8 +3,8 @@
 //! Backs [`crate::reach::CoverSet`]: covers are probed on every visited
 //! edge of every marginal-gain BFS, so membership must be one shift and
 //! one AND on a cache-dense word array rather than a hash probe. Iteration
-//! is always in ascending node order — the canonical order the checkpoint
-//! format serializes covers in, now produced without a sort.
+//! is always in ascending node order, and checkpoints store the word array
+//! itself.
 
 use crate::node::NodeId;
 
@@ -126,10 +126,8 @@ impl NodeBitSet {
     }
 
     /// Serializes the set as one raw `u64` word run, trailing zero words
-    /// trimmed (the canonical form `remove` maintains and the element-wise
-    /// read path produces) — the zero-copy alternative to member-by-member
-    /// encoding.
-    pub fn write_snapshot_words(&self, w: &mut codec::Writer) {
+    /// trimmed (the canonical form `remove` maintains).
+    pub fn write_snapshot(&self, w: &mut codec::Writer) {
         let used = self
             .words
             .iter()
@@ -138,10 +136,10 @@ impl NodeBitSet {
         w.put_u64_run(&self.words[..used]);
     }
 
-    /// Reconstructs a set from [`Self::write_snapshot_words`] bytes by bulk
+    /// Reconstructs a set from [`Self::write_snapshot`] bytes by bulk
     /// copy, recomputing the member count. Trailing zero words are rejected
     /// (non-canonical input would break derived equality).
-    pub fn read_snapshot_words(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
+    pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         let words = r.get_u64_run()?;
         if words.last() == Some(&0) {
             return Err(codec::CodecError::Invalid(
@@ -221,10 +219,10 @@ mod tests {
     fn raw_word_snapshot_round_trip() {
         let s: NodeBitSet = [3u32, 64, 129, 700].into_iter().map(NodeId).collect();
         let mut w = codec::Writer::new();
-        s.write_snapshot_words(&mut w);
+        s.write_snapshot(&mut w);
         let bytes = w.into_vec();
         let mut r = codec::Reader::new(&bytes);
-        let back = NodeBitSet::read_snapshot_words(&mut r).expect("round trip");
+        let back = NodeBitSet::read_snapshot(&mut r).expect("round trip");
         r.finish().expect("fully consumed");
         assert_eq!(back, s);
         assert_eq!(back.len(), 4);
@@ -236,15 +234,15 @@ mod tests {
         t.insert(NodeId(1));
         assert!(t.words().len() > 1, "clear must keep the allocation");
         let mut w = codec::Writer::new();
-        t.write_snapshot_words(&mut w);
+        t.write_snapshot(&mut w);
         let bytes = w.into_vec();
         let mut r = codec::Reader::new(&bytes);
-        let back = NodeBitSet::read_snapshot_words(&mut r).unwrap();
+        let back = NodeBitSet::read_snapshot(&mut r).unwrap();
         assert_eq!(back.words(), &[2u64]);
         // Every truncation errors.
         for cut in 0..bytes.len() {
             let mut r = codec::Reader::new(&bytes[..cut]);
-            let res = NodeBitSet::read_snapshot_words(&mut r).and_then(|_| r.finish());
+            let res = NodeBitSet::read_snapshot(&mut r).and_then(|_| r.finish());
             assert!(res.is_err(), "prefix of {cut} bytes decoded");
         }
     }

@@ -98,44 +98,17 @@ impl EpochSet {
             + self.members.capacity() * std::mem::size_of::<NodeId>()
     }
 
-    /// Serializes the member list (order verbatim) for checkpointing.
+    /// Serializes the member list (order verbatim) as one raw `u32` word
+    /// run.
     pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_len(self.members.len());
-        for n in &self.members {
-            w.put_u32(n.0);
-        }
+        let members: Vec<u32> = self.members.iter().map(|n| n.0).collect();
+        w.put_u32_run(&members);
     }
 
     /// Reconstructs a set from [`Self::write_snapshot`] bytes. `bound` is
     /// the enclosing structure's node-index bound; members outside it, or
     /// duplicated, are typed errors.
     pub fn read_snapshot(r: &mut codec::Reader<'_>, bound: usize) -> codec::Result<Self> {
-        let n = r.get_len(4)?;
-        let mut set = EpochSet::new();
-        for _ in 0..n {
-            let node = NodeId(r.get_u32()?);
-            if node.index() >= bound {
-                return Err(codec::CodecError::Invalid(
-                    "EpochSet member outside node bound",
-                ));
-            }
-            if !set.insert(node) {
-                return Err(codec::CodecError::Invalid("duplicate EpochSet member"));
-            }
-        }
-        Ok(set)
-    }
-
-    /// Serializes the member list as one raw `u32` word run (order
-    /// verbatim) — the sectioned-save fast path.
-    pub fn write_snapshot_raw(&self, w: &mut codec::Writer) {
-        let members: Vec<u32> = self.members.iter().map(|n| n.0).collect();
-        w.put_u32_run(&members);
-    }
-
-    /// Reconstructs a set from [`Self::write_snapshot_raw`] bytes with the
-    /// same bound/duplicate validation as [`Self::read_snapshot`].
-    pub fn read_snapshot_raw(r: &mut codec::Reader<'_>, bound: usize) -> codec::Result<Self> {
         let members = r.get_u32_run()?;
         let mut set = EpochSet::new();
         for &raw in &members {

@@ -80,39 +80,17 @@ impl IndexedSet {
         self.items.iter().copied()
     }
 
-    /// Serializes the set for checkpointing. The *position order* is part
-    /// of the snapshot: callers sample members by index (the Random
-    /// tracker), so a warm restart must see the identical layout.
+    /// Serializes the member slab as one raw `u32` word run. The *position
+    /// order* is part of the snapshot: callers sample members by index (the
+    /// Random tracker), so a warm restart must see the identical layout.
     pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_len(self.items.len());
-        for n in &self.items {
-            w.put_u32(n.0);
-        }
-    }
-
-    /// Reconstructs a set from [`Self::write_snapshot`] bytes, rebuilding
-    /// the position map. Duplicate members are rejected as corruption.
-    pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        let len = r.get_len(4)?;
-        let mut set = IndexedSet::new();
-        for _ in 0..len {
-            if !set.insert(NodeId(r.get_u32()?)) {
-                return Err(codec::CodecError::Invalid("duplicate IndexedSet member"));
-            }
-        }
-        Ok(set)
-    }
-
-    /// Serializes the member slab as one raw `u32` word run, position
-    /// order verbatim (positions are part of the snapshot contract).
-    pub fn write_snapshot_slab(&self, w: &mut codec::Writer) {
         let items: Vec<u32> = self.items.iter().map(|n| n.0).collect();
         w.put_u32_run(&items);
     }
 
-    /// Reconstructs a set from [`Self::write_snapshot_slab`] bytes,
-    /// rebuilding the position map. Duplicates are rejected as corruption.
-    pub fn read_snapshot_slab(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
+    /// Reconstructs a set from [`Self::write_snapshot`] bytes, rebuilding
+    /// the position map. Duplicates are rejected as corruption.
+    pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         let items = r.get_u32_run()?;
         let mut set = IndexedSet::new();
         for &raw in &items {

@@ -31,11 +31,15 @@
 //! * [`analysis`] — offline SCC condensation + exact all-node spreads
 //!   (an independent oracle for tests and workload diagnostics).
 //!
-//! Every state-bearing type ([`adn::AdnGraph`], [`tdn::TdnGraph`],
-//! [`indexed_set::IndexedSet`], [`reach::CoverSet`],
-//! [`node::NodeInterner`]) exposes `write_snapshot`/`read_snapshot`
-//! methods over the `codec` byte format — the building blocks of the
-//! `tdn-persist` checkpoint layer. Order-sensitive structures (adjacency
+//! The checkpointed types each have exactly one serializer over the
+//! `codec` byte format — the building blocks of the `tdn-persist`
+//! checkpoint layer. The graphs ([`adn::AdnGraph`], [`tdn::TdnGraph`])
+//! emit named sections (`write_sections`/`read_sections`), one per
+//! adjacency chunk or expiry range, so delta checkpoints ref what did not
+//! change; the parts inside them ([`indexed_set::IndexedSet`],
+//! [`reach::CoverSet`], [`reach::SpreadMemo`], [`epoch::EpochSet`],
+//! [`sketch::SketchPool`]) write raw word runs via
+//! `write_snapshot`/`read_snapshot`. Order-sensitive structures (adjacency
 //! lists, expiry buckets, the live-node set) serialize **verbatim** so a
 //! restored tracker replays bit-identically; see
 //! `DESIGN.md § Persistence & recovery`.

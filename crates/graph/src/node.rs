@@ -105,30 +105,6 @@ impl NodeInterner {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
-
-    /// Serializes the interner for checkpointing. Only the dense name table
-    /// is written; the reverse map is rebuilt on restore. Id assignment is
-    /// positional, so the round trip preserves every minted [`NodeId`].
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_len(self.names.len());
-        for name in &self.names {
-            w.put_str(name);
-        }
-    }
-
-    /// Reconstructs an interner from [`Self::write_snapshot`] bytes.
-    /// Duplicate names are rejected as corruption (they would alias ids).
-    pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        let len = r.get_len(1)?;
-        let mut it = NodeInterner::new();
-        for i in 0..len {
-            let name = r.get_str()?;
-            if it.intern(name).index() != i {
-                return Err(codec::CodecError::Invalid("duplicate interned name"));
-            }
-        }
-        Ok(it)
-    }
 }
 
 #[cfg(test)]

@@ -266,9 +266,8 @@ impl ScratchPool {
 ///
 /// Membership is probed on every visited edge of every marginal-gain BFS,
 /// so `contains` is one shift and one AND on a word array. Iteration is
-/// always ascending — the canonical order the v2 checkpoint format already
-/// serialized covers in, so snapshot bytes are unchanged by the backend
-/// swap (and the sort the hash-set backend needed is gone).
+/// always ascending (canonical), and a checkpoint stores the word array
+/// itself.
 #[derive(Default, Clone, Debug)]
 pub struct CoverSet {
     bits: NodeBitSet,
@@ -317,38 +316,16 @@ impl CoverSet {
         self.bits.approx_bytes() + std::mem::size_of::<usize>()
     }
 
-    /// Serializes the cover for checkpointing, in canonical (sorted) order
-    /// — the bitset's natural iteration order, and byte-identical to what
-    /// the pre-bitset backend wrote.
+    /// Serializes the cover as one raw `u64` word run straight from the
+    /// backing bitset.
     pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_len(self.bits.len());
-        for n in self.bits.iter() {
-            w.put_u32(n.0);
-        }
+        self.bits.write_snapshot(w);
     }
 
     /// Reconstructs a cover from [`Self::write_snapshot`] bytes.
     pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        let len = r.get_len(4)?;
-        let mut bits = NodeBitSet::new();
-        for _ in 0..len {
-            if !bits.insert(NodeId(r.get_u32()?)) {
-                return Err(codec::CodecError::Invalid("duplicate CoverSet member"));
-            }
-        }
-        Ok(CoverSet { bits })
-    }
-
-    /// Serializes the cover as one raw `u64` word run straight from the
-    /// backing bitset — the zero-copy sectioned-save path.
-    pub fn write_snapshot_words(&self, w: &mut codec::Writer) {
-        self.bits.write_snapshot_words(w);
-    }
-
-    /// Reconstructs a cover from [`Self::write_snapshot_words`] bytes.
-    pub fn read_snapshot_words(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         Ok(CoverSet {
-            bits: NodeBitSet::read_snapshot_words(r)?,
+            bits: NodeBitSet::read_snapshot(r)?,
         })
     }
 }
@@ -1411,7 +1388,7 @@ impl SpreadStats {
 }
 
 impl SpreadStatsSnapshot {
-    /// Serializes the tallies for checkpointing.
+    /// Serializes every tally, shed counters included, for checkpointing.
     pub fn write_snapshot(&self, w: &mut codec::Writer) {
         for v in [
             self.redundant_edges,
@@ -1422,6 +1399,9 @@ impl SpreadStatsSnapshot {
             self.cache_misses,
             self.patched_batches,
             self.rebuilt_batches,
+            self.shed_memo,
+            self.shed_arena,
+            self.shed_fallback,
         ] {
             w.put_u64(v);
         }
@@ -1438,27 +1418,10 @@ impl SpreadStatsSnapshot {
             cache_misses: r.get_u64()?,
             patched_batches: r.get_u64()?,
             rebuilt_batches: r.get_u64()?,
-            ..Default::default()
+            shed_memo: r.get_u64()?,
+            shed_arena: r.get_u64()?,
+            shed_fallback: r.get_u64()?,
         })
-    }
-
-    /// Serializes every tally, shed counters included — the sectioned
-    /// (format v3) layout. [`Self::write_snapshot`] keeps the original
-    /// eight-field layout so v2 checkpoints stay byte-identical.
-    pub fn write_snapshot_v3(&self, w: &mut codec::Writer) {
-        self.write_snapshot(w);
-        w.put_u64(self.shed_memo);
-        w.put_u64(self.shed_arena);
-        w.put_u64(self.shed_fallback);
-    }
-
-    /// Reconstructs tallies from [`Self::write_snapshot_v3`] bytes.
-    pub fn read_snapshot_v3(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        let mut s = Self::read_snapshot(r)?;
-        s.shed_memo = r.get_u64()?;
-        s.shed_arena = r.get_u64()?;
-        s.shed_fallback = r.get_u64()?;
-        Ok(s)
     }
 }
 
@@ -1777,69 +1740,13 @@ impl SpreadMemo {
             + self.delta_count.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Serializes the memo: validity flags and values, plus the adaptive
-    /// probe-gate counters (so a warm restart makes the same probe
-    /// decisions as an uninterrupted run). The dirty and delta sets are
-    /// per-batch transient and always empty between batches.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_len(self.value.len());
-        for i in 0..self.value.len() {
-            w.put_bool(self.valid[i]);
-            if self.valid[i] {
-                w.put_u64(self.value[i]);
-            }
-        }
-        w.put_u64(self.probes_run);
-        w.put_u64(self.probes_hit);
-        w.put_u64(self.probe_skips);
-    }
-
-    /// Reconstructs a memo from [`Self::write_snapshot`] bytes. `bound` is
-    /// the owning graph's node-index bound: a memo larger than the graph,
-    /// or a stored spread outside `[1, bound]` (a spread counts at least
-    /// the node itself and at most every node), is a typed error — a
-    /// corrupt memo would silently change answers, since served values are
-    /// trusted as exact.
-    pub fn read_snapshot(r: &mut codec::Reader<'_>, bound: usize) -> codec::Result<Self> {
-        let n = r.get_len(1)?;
-        if n > bound {
-            return Err(codec::CodecError::Invalid(
-                "SpreadMemo larger than the graph's node bound",
-            ));
-        }
-        let mut memo = SpreadMemo::new();
-        memo.value = vec![0; n];
-        memo.valid = vec![false; n];
-        memo.delta_count = vec![0; n];
-        for i in 0..n {
-            if r.get_bool()? {
-                let v = r.get_u64()?;
-                if v == 0 || v > bound as u64 {
-                    return Err(codec::CodecError::Invalid(
-                        "SpreadMemo stored spread outside [1, node bound]",
-                    ));
-                }
-                memo.value[i] = v;
-                memo.valid[i] = true;
-            }
-        }
-        memo.probes_run = r.get_u64()?;
-        memo.probes_hit = r.get_u64()?;
-        memo.probe_skips = r.get_u64()?;
-        if memo.probes_hit > memo.probes_run {
-            return Err(codec::CodecError::Invalid(
-                "SpreadMemo probe hits exceed probes run",
-            ));
-        }
-        Ok(memo)
-    }
-
     /// Serializes the memo as raw word runs — validity bitmap (one bit per
     /// slot, packed LE into `u64` words), then the valid values
-    /// concatenated in index order, then the probe-gate counters. The
-    /// mmap-friendly sectioned-save alternative to the element-wise
-    /// [`Self::write_snapshot`].
-    pub fn write_snapshot_raw(&self, w: &mut codec::Writer) {
+    /// concatenated in index order, then the adaptive probe-gate counters
+    /// (so a warm restart makes the same probe decisions as an
+    /// uninterrupted run). The dirty and delta sets are per-batch
+    /// transient and always empty between batches.
+    pub fn write_snapshot(&self, w: &mut codec::Writer) {
         w.put_len(self.value.len());
         let mut bitmap = vec![0u64; self.value.len().div_ceil(64)];
         let mut values: Vec<u64> = Vec::new();
@@ -1856,9 +1763,13 @@ impl SpreadMemo {
         w.put_u64(self.probe_skips);
     }
 
-    /// Reconstructs a memo from [`Self::write_snapshot_raw`] bytes with the
-    /// same validation as [`Self::read_snapshot`].
-    pub fn read_snapshot_raw(r: &mut codec::Reader<'_>, bound: usize) -> codec::Result<Self> {
+    /// Reconstructs a memo from [`Self::write_snapshot`] bytes. `bound` is
+    /// the owning graph's node-index bound: a memo larger than the graph,
+    /// or a stored spread outside `[1, bound]` (a spread counts at least
+    /// the node itself and at most every node), is a typed error — a
+    /// corrupt memo would silently change answers, since served values are
+    /// trusted as exact.
+    pub fn read_snapshot(r: &mut codec::Reader<'_>, bound: usize) -> codec::Result<Self> {
         // Slots are bitmap-packed (1 bit each), so `get_len`'s byte-per-
         // element guard would reject valid payloads; the bound check below
         // caps the allocation instead.
@@ -2667,20 +2578,32 @@ mod tests {
             let res = SpreadMemo::read_snapshot(&mut r, 4).and_then(|_| r.finish());
             assert!(res.is_err(), "prefix of {cut} bytes decoded");
         }
+        // Hand-encoded payloads: slot count, validity bitmap, value run,
+        // then the probe counters (run, hit, skips).
+        let encode = |n: u64, bitmap: &[u64], values: &[u64], run: u64, hit: u64| {
+            let mut w = codec::Writer::new();
+            w.put_u64(n);
+            w.put_u64_run(bitmap);
+            w.put_u64_run(values);
+            for v in [run, hit, 0] {
+                w.put_u64(v);
+            }
+            w.into_vec()
+        };
+        let decode = |bytes: &[u8]| SpreadMemo::read_snapshot(&mut codec::Reader::new(bytes), 4);
+        decode(&encode(1, &[1], &[4], 2, 1)).expect("valid hand encoding");
         // A stored spread of 0 (or beyond the bound) is semantically
         // impossible and must be a typed error, not trusted data.
         for bad in [0u64, 5] {
-            let mut w = codec::Writer::new();
-            w.put_len(1);
-            w.put_bool(true);
-            w.put_u64(bad);
-            let bytes = w.into_vec();
-            let mut r = codec::Reader::new(&bytes);
-            assert!(
-                SpreadMemo::read_snapshot(&mut r, 4).is_err(),
-                "spread {bad}"
-            );
+            assert!(decode(&encode(1, &[1], &[bad], 0, 0)).is_err(), "{bad}");
         }
+        // Probe hits cannot exceed probes run.
+        assert!(decode(&encode(1, &[1], &[4], 1, 2)).is_err());
+        // The bitmap must have one word per 64 slots, mark no slot past
+        // the end, and agree with the value run.
+        assert!(decode(&encode(1, &[], &[], 0, 0)).is_err());
+        assert!(decode(&encode(1, &[0b11], &[4, 4], 0, 0)).is_err());
+        assert!(decode(&encode(2, &[0b11], &[4], 0, 0)).is_err());
     }
 
     #[test]
@@ -2693,26 +2616,41 @@ mod tests {
         memo.note_probe(true);
         memo.note_probe(false);
         let mut w = codec::Writer::new();
-        memo.write_snapshot_raw(&mut w);
+        memo.write_snapshot(&mut w);
         let bytes = w.into_vec();
         let mut r = codec::Reader::new(&bytes);
-        let mut back = SpreadMemo::read_snapshot_raw(&mut r, 130).expect("round trip");
+        let mut back = SpreadMemo::read_snapshot(&mut r, 130).expect("round trip");
         r.finish().expect("fully consumed");
+        // The restored memo answers exactly like the live one, slot by
+        // slot, and carries the same probe-gate counters.
         back.begin_batch(130);
-        assert_eq!(back.lookup(NodeId(0)), Some(3));
-        assert_eq!(back.lookup(NodeId(64)), Some(1));
-        assert_eq!(back.lookup(NodeId(129)), Some(100));
-        assert_eq!(back.lookup(NodeId(1)), None);
-        assert_eq!(back.probes_run, 2);
-        assert_eq!(back.probes_hit, 1);
-        // Bound and truncation validation as on the element-wise path.
-        let mut r = codec::Reader::new(&bytes);
-        assert!(SpreadMemo::read_snapshot_raw(&mut r, 129).is_err());
-        for cut in 0..bytes.len() {
-            let mut r = codec::Reader::new(&bytes[..cut]);
-            let res = SpreadMemo::read_snapshot_raw(&mut r, 130).and_then(|_| r.finish());
-            assert!(res.is_err(), "prefix of {cut} bytes decoded");
+        memo.begin_batch(130);
+        for n in 0..130 {
+            assert_eq!(back.lookup(NodeId(n)), memo.lookup(NodeId(n)), "slot {n}");
         }
+        assert_eq!((back.probes_run, back.probes_hit), (2, 1));
+        // ...and both evolve identically: same gate decisions through the
+        // warm-up window and beyond, same bytes afterwards.
+        for (i, m) in [&mut memo, &mut back].into_iter().enumerate() {
+            m.begin_batch(200);
+            m.mark_dirty(NodeId(64));
+            m.store(NodeId(64), 7);
+            m.store(NodeId(150), 2);
+            let gates: Vec<bool> = (0..100)
+                .map(|j| {
+                    let open = m.probe_gate();
+                    m.note_probe(j % 50 == 0);
+                    open
+                })
+                .collect();
+            assert!(gates.iter().any(|&g| !g), "copy {i}: gate never closed");
+        }
+        let bytes_of = |m: &SpreadMemo| {
+            let mut w = codec::Writer::new();
+            m.write_snapshot(&mut w);
+            w.into_vec()
+        };
+        assert_eq!(bytes_of(&back), bytes_of(&memo));
     }
 
     #[test]
@@ -2759,16 +2697,27 @@ mod tests {
     fn cover_word_snapshot_matches_element_wise() {
         let cover: CoverSet = [3u32, 64, 700].into_iter().map(NodeId).collect();
         let mut w = codec::Writer::new();
-        cover.write_snapshot_words(&mut w);
+        cover.write_snapshot(&mut w);
         let bytes = w.into_vec();
         let mut r = codec::Reader::new(&bytes);
-        let back = CoverSet::read_snapshot_words(&mut r).expect("round trip");
+        let mut back = CoverSet::read_snapshot(&mut r).expect("round trip");
         r.finish().expect("fully consumed");
         assert_eq!(back.len(), 3);
-        assert!(back.contains(NodeId(700)) && back.contains(NodeId(3)));
         let a: Vec<NodeId> = cover.iter().collect();
         let b: Vec<NodeId> = back.iter().collect();
         assert_eq!(a, b);
+        // The restored cover keeps growing like the live one would.
+        let mut live = cover.clone();
+        for n in [3u32, 65, 4000] {
+            assert_eq!(back.insert(NodeId(n)), live.insert(NodeId(n)), "{n}");
+        }
+        assert!(back.iter().eq(live.iter()));
+        // Every truncation errors instead of panicking.
+        for cut in 0..bytes.len() {
+            let mut r = codec::Reader::new(&bytes[..cut]);
+            let res = CoverSet::read_snapshot(&mut r).and_then(|_| r.finish());
+            assert!(res.is_err(), "prefix of {cut} bytes decoded");
+        }
     }
 
     #[test]
@@ -2783,19 +2732,18 @@ mod tests {
             (snap.shed_memo, snap.shed_arena, snap.shed_fallback),
             (1, 2, 1)
         );
-        let mut w = codec::Writer::new();
-        snap.write_snapshot_v3(&mut w);
-        let bytes = w.into_vec();
-        let mut r = codec::Reader::new(&bytes);
-        assert_eq!(SpreadStatsSnapshot::read_snapshot_v3(&mut r).unwrap(), snap);
-        r.finish().unwrap();
-        // The v2 writer stays at eight words: shed counters must not leak
-        // into old-format bytes.
+        // The checkpoint layout carries all eleven tallies, shed counters
+        // included.
         let mut w = codec::Writer::new();
         snap.write_snapshot(&mut w);
-        assert_eq!(w.into_vec().len(), 8 * 8);
+        let bytes = w.into_vec();
+        assert_eq!(bytes.len(), 11 * 8);
         let mut r = codec::Reader::new(&bytes);
-        let v2 = SpreadStatsSnapshot::read_snapshot(&mut r).unwrap();
-        assert_eq!(v2.shed_memo, 0, "v2 read leaves shed counters zeroed");
+        assert_eq!(SpreadStatsSnapshot::read_snapshot(&mut r).unwrap(), snap);
+        r.finish().unwrap();
+        for cut in 0..bytes.len() {
+            let mut r = codec::Reader::new(&bytes[..cut]);
+            assert!(SpreadStatsSnapshot::read_snapshot(&mut r).is_err());
+        }
     }
 }

@@ -464,7 +464,7 @@ impl SketchPool {
             for &word in rng {
                 w.put_u64(word);
             }
-            members.write_snapshot_words(w);
+            members.write_snapshot(w);
         }
     }
 
@@ -505,7 +505,7 @@ impl SketchPool {
             for word in &mut state {
                 *word = r.get_u64()?;
             }
-            let set = NodeBitSet::read_snapshot_words(r)?;
+            let set = NodeBitSet::read_snapshot(r)?;
             if root != NO_ROOT && !set.contains(root) {
                 return Err(codec::CodecError::Invalid(
                     "sketch member set misses its own root",

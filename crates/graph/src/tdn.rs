@@ -43,11 +43,6 @@ struct AdjSide {
 }
 
 impl AdjSide {
-    /// Number of live entries in node `n`'s list.
-    fn live(&self, n: usize) -> usize {
-        self.pool.list_len(n) - self.dead[n] as usize
-    }
-
     fn ensure_node_bound(&mut self, bound: usize) {
         self.pool.ensure_node_bound(bound);
         if self.dead.len() < bound {
@@ -65,12 +60,9 @@ impl AdjSide {
         }
     }
 
-    /// Counts entry `n` dead (lazy removal). The dead counter is
-    /// serialized with the chunk, so this is a content change for
-    /// dirty-tracking purposes even though the entry bytes are untouched.
+    /// Counts entry `n` dead (lazy removal).
     fn kill(&mut self, n: usize) {
         self.dead[n] += 1;
-        self.pool.mark_dirty(n);
     }
 
     fn approx_bytes(&self) -> usize {
@@ -198,39 +190,13 @@ pub struct TdnGraph {
     /// Per-advance touched marks for the batched eviction sweep
     /// (transient scratch, never serialized).
     touched: EpochSet,
-    /// Monotone counter behind [`Self::bucket_range_gen`]; like the arena
-    /// generations this is process-local dirty-tracking state, never
-    /// serialized.
-    bucket_generation: u64,
-    /// Expiry-range watermarks: coarse range (`expiry >>`
-    /// [`BUCKET_RANGE_SHIFT`]) → generation of its last mutation (bucket
-    /// insert or drain). Sectioned saves skip ranges whose watermark has
-    /// not moved since the parent save. Ranges wholly below `now` are
-    /// pruned on advance, keeping the map bounded by live expiries.
-    bucket_range_gen: BTreeMap<u64, u64>,
 }
 
-/// Log2 width of a bucket-range watermark: expiry buckets are grouped into
-/// ranges of `1 << BUCKET_RANGE_SHIFT` time steps for dirty tracking, so a
-/// far-future range untouched between two saves costs a delta checkpoint
-/// nothing.
+/// Log2 width of a bucket-range section: expiry buckets are grouped into
+/// ranges of `1 << BUCKET_RANGE_SHIFT` time steps, one section each, so a
+/// far-future range untouched between two saves becomes a ref in a delta
+/// checkpoint.
 pub const BUCKET_RANGE_SHIFT: u32 = 6;
-
-/// Decoded-but-unvalidated snapshot parts — the element-wise and sectioned
-/// restore paths both parse into this shape and hand it to
-/// [`TdnGraph::assemble`] for the shared cross-validation.
-struct TdnParts {
-    now: Time,
-    out: AdjSide,
-    inc: AdjSide,
-    degree: Vec<u32>,
-    buckets: BTreeMap<Time, Vec<(NodeId, NodeId)>>,
-    pair_count: FxHashMap<u64, u32>,
-    live_nodes: IndexedSet,
-    live_edges: u64,
-    dirty_enabled: bool,
-    dirty: EpochSet,
-}
 
 impl TdnGraph {
     /// Creates an empty graph at time 0.
@@ -302,7 +268,6 @@ impl TdnGraph {
                 break;
             }
             let (_, edges) = self.buckets.pop_first().expect("bucket exists");
-            self.touch_bucket_range(exp);
             for (u, v) in edges {
                 self.evict(u, v);
                 touched.insert(u);
@@ -310,8 +275,6 @@ impl TdnGraph {
                 on_evict(u, v);
             }
         }
-        // Watermarks for ranges wholly in the past can never matter again.
-        self.bucket_range_gen = self.bucket_range_gen.split_off(&(t >> BUCKET_RANGE_SHIFT));
         // Compact once per touched list, after ALL buckets ≤ t are drained
         // (dead counters are exact only then).
         for &n in touched.members() {
@@ -408,7 +371,6 @@ impl TdnGraph {
         *self.pair_count.entry(pack_pair(u, v)).or_insert(0) += 1;
         if expiry != Time::MAX {
             self.buckets.entry(expiry).or_default().push((u, v));
-            self.touch_bucket_range(expiry);
         }
         self.live_edges += 1;
         for n in [u, v] {
@@ -481,178 +443,27 @@ impl TdnGraph {
             .count()
     }
 
-    /// Serializes the live graph for checkpointing.
-    ///
-    /// Everything order-sensitive is written **verbatim**: adjacency entry
-    /// order drives BFS traversal order, expiry-bucket vector order drives
-    /// [`Self::edges_with_remaining_in`] (HISTAPPROX's backfill feed), and
-    /// the live-node set's position order drives index-based sampling.
-    /// Lazy-compaction `dead` counters are stored too, so compaction fires
-    /// at the same future steps as in an uninterrupted run.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_u64(self.now);
-        let put_adj = |w: &mut codec::Writer, side: &AdjSide| {
-            w.put_len(side.pool.node_bound());
-            for n in 0..side.pool.node_bound() {
-                let list = side.pool.as_slice(n);
-                w.put_len(list.len());
-                for &(n, exp) in list {
-                    w.put_u32(n.0);
-                    w.put_u64(exp);
-                }
-                w.put_u32(side.dead[n]);
-            }
-        };
-        put_adj(w, &self.out);
-        put_adj(w, &self.inc);
-        w.put_len(self.degree.len());
-        for &d in &self.degree {
-            w.put_u32(d);
-        }
-        w.put_len(self.buckets.len());
-        for (&exp, edges) in &self.buckets {
-            w.put_u64(exp);
-            w.put_len(edges.len());
-            for &(u, v) in edges {
-                w.put_u32(u.0);
-                w.put_u32(v.0);
-            }
-        }
-        // Canonical (sorted) order: the map is only ever queried by key.
-        let mut pairs: Vec<(u64, u32)> = self.pair_count.iter().map(|(&k, &c)| (k, c)).collect();
-        pairs.sort_unstable();
-        w.put_len(pairs.len());
-        for (k, c) in pairs {
-            w.put_u64(k);
-            w.put_u32(c);
-        }
-        self.live_nodes.write_snapshot(w);
-        w.put_u64(self.live_edges);
-        // Dirty tracking flag + set (order verbatim): state a consumer has
-        // not yet drained must survive a warm restart, or its incremental
-        // view would silently miss pre-checkpoint churn. With tracking off
-        // (the default) this costs nine bytes.
-        w.put_bool(self.dirty_enabled);
-        self.dirty.write_snapshot(w);
-    }
-
-    /// Reconstructs a graph from [`Self::write_snapshot`] bytes, validating
-    /// the redundant bookkeeping (live-edge recount, dead counters, bucket
-    /// keys) so a corrupted snapshot surfaces as a typed error.
-    pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        let now = r.get_u64()?;
-        let get_adj = |r: &mut codec::Reader<'_>| -> codec::Result<AdjSide> {
-            let n = r.get_len(8)?;
-            let mut side = AdjSide::default();
-            side.ensure_node_bound(n);
-            for i in 0..n {
-                let len = r.get_len(12)?;
-                for _ in 0..len {
-                    let node = NodeId(r.get_u32()?);
-                    let exp = r.get_u64()?;
-                    side.pool.push(i, (node, exp));
-                }
-                let dead = r.get_u32()?;
-                if dead as usize > len {
-                    return Err(codec::CodecError::Invalid(
-                        "TdnGraph dead counter exceeds adjacency length",
-                    ));
-                }
-                side.dead[i] = dead;
-            }
-            Ok(side)
-        };
-        let out = get_adj(r)?;
-        let inc = get_adj(r)?;
-        let n_deg = r.get_len(4)?;
-        let mut degree = Vec::with_capacity(n_deg);
-        for _ in 0..n_deg {
-            degree.push(r.get_u32()?);
-        }
+    /// Cross-validates a freshly decoded graph. The checksum only proves
+    /// the file round-tripped the *bytes*; it does not prove the structures
+    /// agree with each other, and future mutation code (eviction,
+    /// compaction) indexes and decrements based on exactly these
+    /// invariants. Any disagreement is a typed error here, not a panic
+    /// later.
+    fn validate(&self) -> codec::Result<()> {
+        let (now, out, inc) = (self.now, &self.out, &self.inc);
         let bound = out.pool.node_bound();
-        let n_buckets = r.get_len(16)?;
-        let mut buckets: BTreeMap<Time, Vec<(NodeId, NodeId)>> = BTreeMap::new();
-        for _ in 0..n_buckets {
-            let exp = r.get_u64()?;
-            if exp <= now {
-                return Err(codec::CodecError::Invalid(
-                    "TdnGraph expiry bucket at or before the snapshot clock",
-                ));
-            }
-            let len = r.get_len(8)?;
-            let mut edges = Vec::with_capacity(len);
-            for _ in 0..len {
-                let u = NodeId(r.get_u32()?);
-                let v = NodeId(r.get_u32()?);
-                edges.push((u, v));
-            }
-            if buckets.insert(exp, edges).is_some() {
-                return Err(codec::CodecError::Invalid(
-                    "TdnGraph duplicate expiry bucket",
-                ));
-            }
-        }
-        let n_pairs = r.get_len(12)?;
-        let mut pair_count = FxHashMap::default();
-        for _ in 0..n_pairs {
-            let k = r.get_u64()?;
-            let c = r.get_u32()?;
-            if c == 0 || pair_count.insert(k, c).is_some() {
-                return Err(codec::CodecError::Invalid(
-                    "TdnGraph pair multiplicity zero or duplicated",
-                ));
-            }
-        }
-        let live_nodes = IndexedSet::read_snapshot(r)?;
-        let live_edges = r.get_u64()?;
-        let dirty_enabled = r.get_bool()?;
-        let dirty = EpochSet::read_snapshot(r, bound)?;
-        Self::assemble(TdnParts {
-            now,
-            out,
-            inc,
-            degree,
-            buckets,
-            pair_count,
-            live_nodes,
-            live_edges,
-            dirty_enabled,
-            dirty,
-        })
-    }
-
-    /// Cross-validates decoded parts and assembles the graph — the shared
-    /// back half of both restore paths (element-wise and sectioned). The
-    /// checksum only proves the file round-tripped the *bytes*; it does
-    /// not prove the structures agree with each other, and future mutation
-    /// code (eviction, compaction) indexes and decrements based on exactly
-    /// these invariants. Any disagreement is a typed error here, not a
-    /// panic later.
-    fn assemble(parts: TdnParts) -> codec::Result<Self> {
-        let TdnParts {
-            now,
-            out,
-            inc,
-            degree,
-            buckets,
-            pair_count,
-            live_nodes,
-            live_edges,
-            dirty_enabled,
-            dirty,
-        } = parts;
-        let bound = out.pool.node_bound();
-        if bound != inc.pool.node_bound() || bound != degree.len() {
+        if bound != inc.pool.node_bound() || bound != self.degree.len() {
             return Err(codec::CodecError::Invalid(
                 "TdnGraph per-node vectors disagree on node bound",
             ));
         }
-        if !dirty_enabled && !dirty.is_empty() {
+        if !self.dirty_enabled && !self.dirty.is_empty() {
             return Err(codec::CodecError::Invalid(
                 "TdnGraph dirty set present with tracking disabled",
             ));
         }
-        if buckets
+        if self
+            .buckets
             .first_key_value()
             .is_some_and(|(&exp, _)| exp <= now)
         {
@@ -695,7 +506,7 @@ impl TdnGraph {
                 ));
             }
         }
-        if recount != live_edges {
+        if recount != self.live_edges {
             return Err(codec::CodecError::Invalid(
                 "TdnGraph live edge count disagrees with adjacency recount",
             ));
@@ -731,7 +542,7 @@ impl TdnGraph {
             }
         }
         // Pair multiplicities must match the live recount exactly.
-        if pair_count != live_pairs {
+        if self.pair_count != live_pairs {
             return Err(codec::CodecError::Invalid(
                 "TdnGraph pair multiplicities disagree with adjacency",
             ));
@@ -741,18 +552,18 @@ impl TdnGraph {
         // nodes with positive degree.
         for i in 0..bound {
             let expect = live_out[i] + live_in[i];
-            if degree[i] != expect {
+            if self.degree[i] != expect {
                 return Err(codec::CodecError::Invalid(
                     "TdnGraph degree vector disagrees with adjacency recount",
                 ));
             }
-            if (expect > 0) != live_nodes.contains(NodeId(i as u32)) {
+            if (expect > 0) != self.live_nodes.contains(NodeId(i as u32)) {
                 return Err(codec::CodecError::Invalid(
                     "TdnGraph live-node set disagrees with degrees",
                 ));
             }
         }
-        if live_nodes.len() > bound {
+        if self.live_nodes.len() > bound {
             return Err(codec::CodecError::Invalid(
                 "TdnGraph live-node set exceeds node bound",
             ));
@@ -760,7 +571,7 @@ impl TdnGraph {
         // Buckets must consume the finite-expiry live entries exactly:
         // eviction pops buckets and decrements per-edge bookkeeping, so a
         // surplus or deficit would underflow counts at some future step.
-        for (&exp, edges) in &buckets {
+        for (&exp, edges) in &self.buckets {
             for &(u, v) in edges {
                 if u.index() >= bound || v.index() >= bound {
                     return Err(codec::CodecError::Invalid(
@@ -782,50 +593,28 @@ impl TdnGraph {
                 "TdnGraph finite-lifetime entry missing from its expiry bucket",
             ));
         }
-        let mut g = TdnGraph {
-            now,
-            out,
-            inc,
-            degree,
-            buckets,
-            pair_count,
-            live_nodes,
-            live_edges,
-            dirty,
-            dirty_enabled,
-            touched: EpochSet::new(),
-            bucket_generation: 0,
-            bucket_range_gen: BTreeMap::new(),
-        };
-        // Fresh watermarks for every live range: the restored graph is a
-        // new save lineage, so its first save is a base anyway; all that
-        // matters is that subsequent mutations move the marks.
-        let live_exps: Vec<Time> = g.buckets.keys().copied().collect();
-        for exp in live_exps {
-            g.touch_bucket_range(exp);
-        }
-        Ok(g)
+        Ok(())
     }
 
-    /// Moves the watermark of `exp`'s coarse range to a fresh generation.
-    fn touch_bucket_range(&mut self, exp: Time) {
-        self.bucket_generation += 1;
-        self.bucket_range_gen
-            .insert(exp >> BUCKET_RANGE_SHIFT, self.bucket_generation);
-    }
-
-    /// Emits the graph as named sections under `prefix` — the delta-aware
-    /// alternative to [`Self::write_snapshot`]. Layout:
+    /// Serializes the live graph as named sections under `prefix`.
+    ///
+    /// Everything order-sensitive is written **verbatim**: adjacency entry
+    /// order drives BFS traversal order, expiry-bucket vector order drives
+    /// [`Self::edges_with_remaining_in`] (HISTAPPROX's backfill feed), and
+    /// the live-node set's position order drives index-based sampling.
+    /// Lazy-compaction `dead` counters are stored too, so compaction fires
+    /// at the same future steps as in an uninterrupted run. Layout:
     ///
     /// - `{prefix}core`: clock, degrees, pair multiplicities (canonical
-    ///   sorted runs), live-node slab, edge count, dirty state, and the
-    ///   directory of live bucket ranges. Always fresh (it is small and
-    ///   changes every step).
+    ///   sorted runs), live-node slab, edge count, dirty state (so churn a
+    ///   consumer has not drained survives a warm restart), and the
+    ///   directory of live bucket ranges.
     /// - `{prefix}adj.{out,inc}.<c>`: adjacency chunk `c` of each side
-    ///   ([`crate::arena::SNAPSHOT_CHUNK`] lists), skipped via arena chunk
-    ///   generations when untouched since the parent save.
-    /// - `{prefix}buckets.<r>`: expiry buckets of coarse range `r`,
-    ///   skipped via bucket-range watermarks.
+    ///   ([`crate::arena::SNAPSHOT_CHUNK`] lists).
+    /// - `{prefix}buckets.<r>`: expiry buckets of coarse range `r`.
+    ///
+    /// A chunk or range whose bytes did not change since the parent save
+    /// becomes a ref.
     pub fn write_sections(&self, sink: &mut codec::SectionSink, prefix: &str) {
         let bound = self.out.pool.node_bound();
         let mut w = codec::Writer::new();
@@ -839,10 +628,10 @@ impl TdnGraph {
         let counts: Vec<u32> = pairs.iter().map(|&(_, c)| c).collect();
         w.put_u64_run(&keys);
         w.put_u32_run(&counts);
-        self.live_nodes.write_snapshot_slab(&mut w);
+        self.live_nodes.write_snapshot(&mut w);
         w.put_u64(self.live_edges);
         w.put_bool(self.dirty_enabled);
-        self.dirty.write_snapshot_raw(&mut w);
+        self.dirty.write_snapshot(&mut w);
         let mut ranges: Vec<u64> = Vec::new();
         for &exp in self.buckets.keys() {
             let rk = exp >> BUCKET_RANGE_SHIFT;
@@ -854,22 +643,16 @@ impl TdnGraph {
         sink.put(&format!("{prefix}core"), w.into_vec());
         for c in 0..bound.div_ceil(crate::arena::SNAPSHOT_CHUNK) {
             for (side, dir) in [(&self.out, "out"), (&self.inc, "inc")] {
-                sink.put_with_gen(
-                    &format!("{prefix}adj.{dir}.{c}"),
-                    side.pool.chunk_generation(c),
-                    || {
-                        let mut w = codec::Writer::new();
-                        side.write_chunk(c, &mut w);
-                        w.into_vec()
-                    },
-                );
+                let mut w = codec::Writer::new();
+                side.write_chunk(c, &mut w);
+                sink.put(&format!("{prefix}adj.{dir}.{c}"), w.into_vec());
             }
         }
         for &rk in &ranges {
-            let generation = self.bucket_range_gen.get(&rk).copied().unwrap_or(0);
-            sink.put_with_gen(&format!("{prefix}buckets.{rk}"), generation, || {
-                self.write_bucket_range(rk)
-            });
+            sink.put(
+                &format!("{prefix}buckets.{rk}"),
+                self.write_bucket_range(rk),
+            );
         }
     }
 
@@ -901,8 +684,9 @@ impl TdnGraph {
     }
 
     /// Reconstructs a graph from the sections [`Self::write_sections`]
-    /// emitted under `prefix`, with the same full cross-validation as
-    /// [`Self::read_snapshot`].
+    /// emitted under `prefix`, validating the redundant bookkeeping
+    /// (live-edge recount, dead counters, degrees, bucket membership) so a
+    /// corrupted snapshot surfaces as a typed error.
     pub fn read_sections(
         map: &codec::SectionMap,
         prefix: &str,
@@ -930,10 +714,10 @@ impl TdnGraph {
             }
             pair_count.insert(k, c);
         }
-        let live_nodes = IndexedSet::read_snapshot_slab(&mut r)?;
+        let live_nodes = IndexedSet::read_snapshot(&mut r)?;
         let live_edges = r.get_u64()?;
         let dirty_enabled = r.get_bool()?;
-        let dirty = EpochSet::read_snapshot_raw(&mut r, bound)?;
+        let dirty = EpochSet::read_snapshot(&mut r, bound)?;
         let ranges = r.get_u64_run()?;
         r.finish()?;
         let mut out = AdjSide::default();
@@ -980,7 +764,7 @@ impl TdnGraph {
                 off += len as usize;
             }
         }
-        Ok(Self::assemble(TdnParts {
+        let g = TdnGraph {
             now,
             out,
             inc,
@@ -989,9 +773,12 @@ impl TdnGraph {
             pair_count,
             live_nodes,
             live_edges,
-            dirty_enabled,
             dirty,
-        })?)
+            dirty_enabled,
+            touched: EpochSet::new(),
+        };
+        g.validate()?;
+        Ok(g)
     }
 
     /// Approximate heap footprint in bytes.
@@ -1028,32 +815,13 @@ impl TdnGraph {
         (ob + ib, of + inf)
     }
 
-    /// Debug-only check that bookkeeping matches a from-scratch recount.
+    /// Debug-only check that bookkeeping matches a from-scratch recount
+    /// (the same cross-validation a restore runs).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        let bound = self.out.pool.node_bound();
-        let recount: u64 = (0..bound)
-            .map(|n| {
-                self.out
-                    .pool
-                    .as_slice(n)
-                    .iter()
-                    .filter(|&&(_, e)| e > self.now)
-                    .count() as u64
-            })
-            .sum();
-        assert_eq!(recount, self.live_edges, "live edge count drifted");
-        let live_tracked: usize = (0..bound).map(|n| self.out.live(n)).sum();
-        assert_eq!(
-            live_tracked, self.live_edges as usize,
-            "per-list live bookkeeping drifted"
-        );
-        let live_by_degree = self.degree.iter().filter(|&&d| d > 0).count();
-        assert_eq!(
-            live_by_degree,
-            self.live_nodes.len(),
-            "live node set drifted"
-        );
+        if let Err(e) = self.validate() {
+            panic!("TdnGraph bookkeeping drifted: {e}");
+        }
     }
 }
 
@@ -1247,6 +1015,14 @@ mod tests {
         g.advance_to(4);
     }
 
+    /// Saves `g` as a lone base container and restores it.
+    fn round_trip(g: &TdnGraph) -> Result<TdnGraph, codec::SectionError> {
+        let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
+        g.write_sections(&mut sink, "g.");
+        let (blob, _) = sink.finish();
+        TdnGraph::read_sections(&codec::SectionMap::from_single(&blob)?, "g.")
+    }
+
     #[test]
     fn snapshot_round_trip_preserves_future_evolution() {
         // Build a graph with pending expirations, partially-dead adjacency
@@ -1260,12 +1036,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(3), 9); // multi-edge
         g.add_edge(NodeId(7), NodeId(0), 20);
         g.advance_to(4); // some entries dead, compaction threshold not hit everywhere
-        let mut w = codec::Writer::new();
-        g.write_snapshot(&mut w);
-        let bytes = w.into_vec();
-        let mut r = codec::Reader::new(&bytes);
-        let mut h = TdnGraph::read_snapshot(&mut r).expect("round trip");
-        r.finish().expect("fully consumed");
+        let mut h = round_trip(&g).expect("round trip");
         h.check_invariants();
         assert!(h.dirty_tracking(), "tracking flag must survive");
         assert_eq!(g.now(), h.now());
@@ -1300,87 +1071,105 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_drifted_bookkeeping() {
+        decode_single_edge(|_| {}).expect("valid hand encoding");
+        // An inflated live-edge count fails the adjacency recount.
+        assert!(decode_single_edge(|p| p.live_edges = 7).is_err());
+        // A dead counter beyond the list length, or disagreeing with the
+        // entries' expiries, would make a later compaction misfire.
+        assert!(decode_single_edge(|p| p.out_dead = 2).is_err());
+        assert!(decode_single_edge(|p| p.out_dead = 1).is_err());
+        // Every truncation of a real graph's sections is an error too.
         let mut g = TdnGraph::new();
         g.add_edge(NodeId(0), NodeId(1), 5);
-        let mut w = codec::Writer::new();
-        g.write_snapshot(&mut w);
-        let mut bytes = w.into_vec();
-        // The trailing fields are live_edges (u64), the dirty-tracking
-        // flag (1 byte), and the empty dirty list (u64 length); inflate
-        // live_edges and expect the recount cross-check to fire.
-        let n = bytes.len();
-        bytes[n - 17..n - 9].copy_from_slice(&7u64.to_le_bytes());
-        let mut r = codec::Reader::new(&bytes);
-        assert!(TdnGraph::read_snapshot(&mut r).is_err());
+        let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
+        g.write_sections(&mut sink, "g.");
+        let (blob, _) = sink.finish();
+        let map = codec::SectionMap::from_single(&blob).unwrap();
+        for name in ["g.core", "g.adj.out.0", "g.adj.inc.0", "g.buckets.0"] {
+            let full = map.payload(name).unwrap();
+            for cut in 0..full.len() {
+                let mut w = codec::SectionWriter::new();
+                for other in ["g.core", "g.adj.out.0", "g.adj.inc.0", "g.buckets.0"] {
+                    let bytes = map.payload(other).unwrap();
+                    let bytes = if other == name { &bytes[..cut] } else { bytes };
+                    w.put_section(other, bytes.to_vec());
+                }
+                let blob = w.finish();
+                let map = codec::SectionMap::from_single(&blob).unwrap();
+                assert!(
+                    TdnGraph::read_sections(&map, "g.").is_err(),
+                    "{name} cut to {cut} bytes decoded"
+                );
+            }
+        }
     }
 
-    /// Hand-encodes a single-edge snapshot (0 → 1, expiry 5, now 0) with
-    /// one field corrupted by `tweak`, exercising the cross-validation: a
-    /// checksum cannot catch internally *consistent-looking* but mutually
-    /// disagreeing structures, so the decoder must.
-    fn corrupt_single_edge_snapshot(tweak: impl Fn(&mut SingleEdgeParts)) -> codec::Result<()> {
+    /// Hand-encodes the sections of a single-edge graph (0 → 1, expiry 5,
+    /// now 0) with fields altered by `tweak`, exercising the
+    /// cross-validation: a checksum cannot catch internally
+    /// *consistent-looking* but mutually disagreeing structures, so the
+    /// decoder must.
+    fn decode_single_edge(tweak: impl Fn(&mut SingleEdgeParts)) -> Result<(), codec::SectionError> {
         let mut p = SingleEdgeParts {
             out_target: 1,
+            out_dead: 0,
             inc_source: 0,
             degree: [1, 1],
             bucket_edge: (0, 1),
             bucket_exp: 5,
             pair_key: pack_pair(NodeId(0), NodeId(1)),
             live_nodes: vec![0, 1],
+            live_edges: 1,
             dirty_enabled: true,
             dirty: vec![0, 1],
         };
         tweak(&mut p);
+        let rk = p.bucket_exp >> BUCKET_RANGE_SHIFT;
+        let mut sections = codec::SectionWriter::new();
         let mut w = codec::Writer::new();
         w.put_u64(0); // now
-        w.put_len(2); // out
-        w.put_len(1);
-        w.put_u32(p.out_target);
-        w.put_u64(5);
-        w.put_u32(0); // dead
-        w.put_len(0);
-        w.put_u32(0);
-        w.put_len(2); // inc
-        w.put_len(0);
-        w.put_u32(0);
-        w.put_len(1);
-        w.put_u32(p.inc_source);
-        w.put_u64(5);
-        w.put_u32(0);
-        w.put_len(2); // degree
-        w.put_u32(p.degree[0]);
-        w.put_u32(p.degree[1]);
-        w.put_len(1); // buckets
-        w.put_u64(p.bucket_exp);
-        w.put_len(1);
-        w.put_u32(p.bucket_edge.0);
-        w.put_u32(p.bucket_edge.1);
-        w.put_len(1); // pair_count
-        w.put_u64(p.pair_key);
-        w.put_u32(1);
-        w.put_len(p.live_nodes.len()); // live_nodes
-        for &n in &p.live_nodes {
-            w.put_u32(n);
+        w.put_len(2); // node bound
+        w.put_u32_run(&p.degree);
+        w.put_u64_run(&[p.pair_key]);
+        w.put_u32_run(&[1]);
+        w.put_u32_run(&p.live_nodes);
+        w.put_u64(p.live_edges);
+        w.put_bool(p.dirty_enabled);
+        w.put_u32_run(&p.dirty);
+        w.put_u64_run(&[rk]);
+        sections.put_section("g.core", w.into_vec());
+        for (name, lens, dead, target) in [
+            ("g.adj.out.0", [1, 0], [p.out_dead, 0], p.out_target),
+            ("g.adj.inc.0", [0, 1], [0, 0], p.inc_source),
+        ] {
+            let mut w = codec::Writer::new();
+            w.put_u32_run(&lens);
+            w.put_u32_run(&dead);
+            w.put_u32_run(&[target]);
+            w.put_u64_run(&[5]);
+            sections.put_section(name, w.into_vec());
         }
-        w.put_u64(1); // live_edges
-        w.put_bool(p.dirty_enabled); // dirty tracking flag
-        w.put_len(p.dirty.len()); // dirty set
-        for &n in &p.dirty {
-            w.put_u32(n);
-        }
-        let bytes = w.into_vec();
-        let mut r = codec::Reader::new(&bytes);
-        TdnGraph::read_snapshot(&mut r).map(|_| ())
+        let mut w = codec::Writer::new();
+        w.put_u64_run(&[p.bucket_exp]);
+        w.put_u32_run(&[1]);
+        w.put_u32_run(&[p.bucket_edge.0]);
+        w.put_u32_run(&[p.bucket_edge.1]);
+        sections.put_section(&format!("g.buckets.{rk}"), w.into_vec());
+        let blob = sections.finish();
+        let map = codec::SectionMap::from_single(&blob)?;
+        TdnGraph::read_sections(&map, "g.").map(|_| ())
     }
 
     struct SingleEdgeParts {
         out_target: u32,
+        out_dead: u32,
         inc_source: u32,
         degree: [u32; 2],
         bucket_edge: (u32, u32),
         bucket_exp: Time,
         pair_key: u64,
         live_nodes: Vec<u32>,
+        live_edges: u64,
         dirty_enabled: bool,
         dirty: Vec<u32>,
     }
@@ -1388,32 +1177,32 @@ mod tests {
     #[test]
     fn snapshot_cross_validates_every_structure() {
         // The untampered encoding decodes (sanity-check the harness)...
-        corrupt_single_edge_snapshot(|_| {}).expect("valid hand encoding");
+        decode_single_edge(|_| {}).expect("valid hand encoding");
         // ...and each single-field corruption is a typed error — these are
         // exactly the shapes that would index out of bounds or underflow
         // counters at a later `advance_to`/`evict` if admitted.
-        assert!(corrupt_single_edge_snapshot(|p| p.bucket_edge = (99, 1)).is_err());
-        assert!(corrupt_single_edge_snapshot(|p| p.bucket_edge = (1, 0)).is_err());
-        assert!(corrupt_single_edge_snapshot(|p| p.bucket_exp = 7).is_err());
-        assert!(corrupt_single_edge_snapshot(|p| p.out_target = 99).is_err());
-        assert!(corrupt_single_edge_snapshot(|p| p.inc_source = 99).is_err());
-        assert!(corrupt_single_edge_snapshot(|p| p.inc_source = 1).is_err());
-        assert!(corrupt_single_edge_snapshot(|p| p.degree = [2, 1]).is_err());
-        assert!(corrupt_single_edge_snapshot(|p| p.degree = [0, 1]).is_err());
-        assert!(
-            corrupt_single_edge_snapshot(|p| p.pair_key = pack_pair(NodeId(1), NodeId(0))).is_err()
-        );
-        assert!(corrupt_single_edge_snapshot(|p| p.live_nodes = vec![0]).is_err());
-        assert!(corrupt_single_edge_snapshot(|p| p.live_nodes = vec![0, 1, 5]).is_err());
+        assert!(decode_single_edge(|p| p.bucket_edge = (99, 1)).is_err());
+        assert!(decode_single_edge(|p| p.bucket_edge = (1, 0)).is_err());
+        assert!(decode_single_edge(|p| p.bucket_exp = 7).is_err());
+        assert!(decode_single_edge(|p| p.bucket_exp = 0).is_err());
+        assert!(decode_single_edge(|p| p.out_target = 99).is_err());
+        assert!(decode_single_edge(|p| p.inc_source = 99).is_err());
+        assert!(decode_single_edge(|p| p.inc_source = 1).is_err());
+        assert!(decode_single_edge(|p| p.degree = [2, 1]).is_err());
+        assert!(decode_single_edge(|p| p.degree = [0, 1]).is_err());
+        assert!(decode_single_edge(|p| p.pair_key = pack_pair(NodeId(1), NodeId(0))).is_err());
+        assert!(decode_single_edge(|p| p.live_nodes = vec![0]).is_err());
+        assert!(decode_single_edge(|p| p.live_nodes = vec![0, 1, 5]).is_err());
+        assert!(decode_single_edge(|p| p.live_nodes = vec![0, 0]).is_err());
         // Dirty-set corruption: out-of-bound or duplicated members, or
         // marks present while tracking claims to be off.
-        assert!(corrupt_single_edge_snapshot(|p| p.dirty = vec![0, 9]).is_err());
-        assert!(corrupt_single_edge_snapshot(|p| p.dirty = vec![1, 1]).is_err());
-        assert!(corrupt_single_edge_snapshot(|p| p.dirty_enabled = false).is_err());
+        assert!(decode_single_edge(|p| p.dirty = vec![0, 9]).is_err());
+        assert!(decode_single_edge(|p| p.dirty = vec![1, 1]).is_err());
+        assert!(decode_single_edge(|p| p.dirty_enabled = false).is_err());
         // An empty or reordered dirty set is legal (it is consumer state).
-        corrupt_single_edge_snapshot(|p| p.dirty = vec![]).expect("empty dirty set is valid");
-        corrupt_single_edge_snapshot(|p| p.dirty = vec![1, 0]).expect("order is free");
-        corrupt_single_edge_snapshot(|p| {
+        decode_single_edge(|p| p.dirty = vec![]).expect("empty dirty set is valid");
+        decode_single_edge(|p| p.dirty = vec![1, 0]).expect("order is free");
+        decode_single_edge(|p| {
             p.dirty_enabled = false;
             p.dirty = vec![];
         })
@@ -1484,10 +1273,9 @@ mod tests {
 
     #[test]
     fn sectioned_snapshot_round_trip_matches_element_wise() {
-        // Same shape as the element-wise round-trip test: pending
-        // expirations, partially-dead lists, multi-edges, undrained dirty
-        // set — the sectioned path must restore an identically-evolving
-        // graph.
+        // Pending expirations, partially-dead lists, multi-edges, an
+        // undrained dirty set, and an edge in a far bucket range: the
+        // restored graph must match the live one and evolve identically.
         let mut g = TdnGraph::new();
         g.set_dirty_tracking(true);
         for i in 1..=10u32 {
@@ -1495,14 +1283,9 @@ mod tests {
         }
         g.add_edge(NodeId(0), NodeId(3), 9);
         g.add_edge(NodeId(7), NodeId(0), 20);
-        // An edge far in the future, in its own bucket range.
         g.add_edge(NodeId(2), NodeId(9), 500);
         g.advance_to(4);
-        let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
-        g.write_sections(&mut sink, "g.");
-        let (blob, _) = sink.finish();
-        let map = codec::SectionMap::from_single(&blob).expect("resolve");
-        let mut h = TdnGraph::read_sections(&map, "g.").expect("sectioned restore");
+        let mut h = round_trip(&g).expect("sectioned restore");
         h.check_invariants();
         assert!(h.dirty_tracking());
         assert_eq!(g.dirty_nodes(), h.dirty_nodes());

@@ -18,9 +18,9 @@ pub enum PersistError {
     /// The file does not start with the checkpoint magic (not a checkpoint,
     /// or the header itself is truncated).
     BadMagic,
-    /// The file's format version is newer than this build understands.
-    /// (Older versions are migrated when the format evolves; versions 2 and
-    /// 3 are readable, version 3 is written.)
+    /// The file's format version is not the one this build writes (older
+    /// layouts are not migrated: a format-2 or format-3 file is rejected
+    /// here, as is one from a future build).
     UnsupportedVersion {
         /// Version found in the file.
         found: u32,

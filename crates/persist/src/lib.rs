@@ -17,26 +17,29 @@
 //!
 //! A [`Manifest`] header (magic, format version, tracker kind, config
 //! hash, stream position, payload length, snapshot kind and lineage ids),
-//! the state payload, and an FNV-1a checksum — see [`manifest`] for the
-//! byte layout and `DESIGN.md § Scale-ready persistence` for what is and
-//! is not serialized. Since format 3 the payload is a **sectioned
-//! container** (`codec::SectionWriter`): named, length-prefixed,
-//! individually checksummed sections behind a table of contents, so
-//! corruption reports name the failing section and unchanged sections can
-//! be elided from delta checkpoints. Format-2 files (monolithic payload)
-//! restore through the retained legacy path.
+//! the state payload, and an FNV-1a checksum over both — see [`manifest`]
+//! for the byte layout and `DESIGN.md § Persistence & recovery` for what
+//! is and is not serialized. The payload is a **sectioned container**
+//! (`codec::SectionWriter`): named, length-prefixed, individually
+//! checksummed sections behind a table of contents, so corruption reports
+//! name the failing section and unchanged sections can be elided from
+//! delta checkpoints. Every tracker writes a small `meta` section plus
+//! its instances and graph as sections of their own. Only the current
+//! format version is read; older files fail with
+//! [`PersistError::UnsupportedVersion`].
 //!
 //! ## Base + delta checkpoints
 //!
 //! A **base** snapshot is self-contained. A **delta** snapshot stores only
-//! the sections that changed since its parent; unchanged sections shrink
-//! to `(length, checksum)` references. Restoring a delta resolves the
-//! parent chain — [`restore_from_chain`] for in-memory links,
+//! the sections that changed since its parent; a section the parent saved
+//! under the same name with the same `(length, checksum)` shrinks to a
+//! reference. Restoring a delta resolves the parent chain —
+//! [`restore_from_chain`] for in-memory links,
 //! [`load_checkpoint`] transparently walking sibling files by snapshot id.
 //! [`CheckpointChain`] manages a directory of chained saves and compacts
 //! (writes a fresh base) when the chain exceeds its [`CompactionPolicy`].
 //! Restores fail loudly with a typed [`PersistError`] on any mismatch:
-//! foreign files, future format versions, a different `TrackerConfig`,
+//! foreign files, other format versions, a different `TrackerConfig`,
 //! truncation, bit rot, a missing base, or a cyclic chain. They never
 //! panic.
 //!
@@ -91,62 +94,30 @@ use tdn_core::{BasicReduction, HistApprox, RandomTracker, SieveAdnTracker, Track
 
 pub use error::PersistError;
 pub use io::{CheckpointIo, StdIo};
-pub use manifest::{Manifest, SnapshotKind, TrackerKind, FORMAT_VERSION, MAGIC, MIN_READ_VERSION};
+pub use manifest::{Manifest, SnapshotKind, TrackerKind, FORMAT_VERSION, MAGIC};
 
 /// A tracker type that can be checkpointed and warm-restarted.
 ///
-/// Implementations delegate to the tracker's own `write_snapshot` /
-/// `read_snapshot` methods (which live next to the private state they
+/// Implementations delegate to the tracker's own `write_sections` /
+/// `read_sections` methods (which live next to the private state they
 /// serialize); this trait adds the manifest kind tag so the persistence
 /// layer can refuse to decode a payload into the wrong type.
-///
-/// The sectioned hooks ([`Persist::write_sections`] /
-/// [`Persist::read_sections`]) drive the format-3 payload. The defaults
-/// wrap the monolithic state in a single `"state"` section — correct for
-/// every tracker, but deltas then only dedup when the *entire* state is
-/// byte-identical. Trackers that want fine-grained deltas (SIEVEADN's
-/// graph chunks, sieve ladder, memo) override both hooks.
 pub trait Persist: Sized {
     /// Manifest tag for this tracker type.
     const KIND: TrackerKind;
 
-    /// Appends the tracker's full live state to `w` (format-2 layout; also
-    /// the payload of the default `"state"` section).
-    fn write_state(&self, w: &mut codec::Writer);
-
-    /// Rebuilds a tracker from bytes produced by [`Persist::write_state`].
-    fn read_state(r: &mut codec::Reader<'_>) -> codec::Result<Self>;
-
     /// Emits the tracker's state as named sections into `sink`. Sections
-    /// whose bytes (or generation counters) match the sink's parent index
-    /// become references automatically — that is what makes a save a
-    /// *delta*.
-    fn write_sections(&self, sink: &mut codec::SectionSink) {
-        let mut w = codec::Writer::new();
-        self.write_state(&mut w);
-        sink.put("state", w.into_vec());
-    }
+    /// whose bytes match the sink's parent index become references
+    /// automatically — that is what makes a save a *delta*.
+    fn write_sections(&self, sink: &mut codec::SectionSink);
 
     /// Rebuilds a tracker from a resolved [`codec::SectionMap`] (a lone
     /// base container, or a fully resolved delta chain).
-    fn read_sections(map: &codec::SectionMap) -> Result<Self, PersistError> {
-        let mut r = map.reader("state")?;
-        let tracker = Self::read_state(&mut r)?;
-        r.finish()?;
-        Ok(tracker)
-    }
+    fn read_sections(map: &codec::SectionMap) -> Result<Self, PersistError>;
 }
 
 impl Persist for SieveAdnTracker {
     const KIND: TrackerKind = TrackerKind::SieveAdn;
-
-    fn write_state(&self, w: &mut codec::Writer) {
-        self.write_snapshot(w);
-    }
-
-    fn read_state(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        SieveAdnTracker::read_snapshot(r)
-    }
 
     fn write_sections(&self, sink: &mut codec::SectionSink) {
         SieveAdnTracker::write_sections(self, sink);
@@ -160,36 +131,36 @@ impl Persist for SieveAdnTracker {
 impl Persist for BasicReduction {
     const KIND: TrackerKind = TrackerKind::BasicReduction;
 
-    fn write_state(&self, w: &mut codec::Writer) {
-        self.write_snapshot(w);
+    fn write_sections(&self, sink: &mut codec::SectionSink) {
+        BasicReduction::write_sections(self, sink);
     }
 
-    fn read_state(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        BasicReduction::read_snapshot(r)
+    fn read_sections(map: &codec::SectionMap) -> Result<Self, PersistError> {
+        Ok(BasicReduction::read_sections(map)?)
     }
 }
 
 impl Persist for HistApprox {
     const KIND: TrackerKind = TrackerKind::HistApprox;
 
-    fn write_state(&self, w: &mut codec::Writer) {
-        self.write_snapshot(w);
+    fn write_sections(&self, sink: &mut codec::SectionSink) {
+        HistApprox::write_sections(self, sink);
     }
 
-    fn read_state(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        HistApprox::read_snapshot(r)
+    fn read_sections(map: &codec::SectionMap) -> Result<Self, PersistError> {
+        Ok(HistApprox::read_sections(map)?)
     }
 }
 
 impl Persist for RandomTracker {
     const KIND: TrackerKind = TrackerKind::Random;
 
-    fn write_state(&self, w: &mut codec::Writer) {
-        self.write_snapshot(w);
+    fn write_sections(&self, sink: &mut codec::SectionSink) {
+        RandomTracker::write_sections(self, sink);
     }
 
-    fn read_state(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        RandomTracker::read_snapshot(r)
+    fn read_sections(map: &codec::SectionMap) -> Result<Self, PersistError> {
+        Ok(RandomTracker::read_sections(map)?)
     }
 }
 
@@ -218,7 +189,7 @@ fn snapshot_id_for(payload_checksum: u64, step: u64, parent_id: u64) -> u64 {
     codec::fnv1a64(w.as_slice())
 }
 
-/// Wraps a finished section container in the format-3 envelope: manifest
+/// Wraps a finished section container in the envelope: manifest
 /// header, payload, and a trailing FNV-1a checksum covering *both* (so a
 /// flipped bit anywhere in the file fails the restore). Returns the bytes
 /// and the content-derived snapshot id recorded in the header.
@@ -274,9 +245,9 @@ pub fn checkpoint_base_to_vec<T: Persist>(
     (bytes, next, snapshot_id)
 }
 
-/// Serializes a delta checkpoint: sections unchanged since the parent
-/// (matched by generation counter or by byte checksum) are stored as
-/// references, everything else inline. `parent` and `parent_id` come from
+/// Serializes a delta checkpoint: sections the parent saved under the same
+/// name with the same byte checksum are stored as references, everything
+/// else inline. `parent` and `parent_id` come from
 /// the previous [`checkpoint_base_to_vec`] / `checkpoint_delta_to_vec`
 /// call. Returns the bytes, the index for the *next* delta, and this
 /// snapshot's id.
@@ -334,14 +305,7 @@ fn validate_envelope<'a, T: Persist>(
     let mut tail = codec::Reader::new(&bytes[header_len + payload_len..]);
     let stored_checksum = tail.get_u64()?;
     tail.finish()?;
-    // Format 3 checksums header + payload together; format 2 predates that
-    // and covers the payload only.
-    let computed = if manifest.format_version >= 3 {
-        codec::fnv1a64(&bytes[..header_len + payload_len])
-    } else {
-        codec::fnv1a64(payload)
-    };
-    if computed != stored_checksum {
+    if codec::fnv1a64(&bytes[..header_len + payload_len]) != stored_checksum {
         return Err(PersistError::ChecksumMismatch { section: None });
     }
     Ok((manifest, payload))
@@ -349,8 +313,7 @@ fn validate_envelope<'a, T: Persist>(
 
 /// Restores a tracker from in-memory checkpoint bytes, verifying magic,
 /// version, tracker kind, config hash, payload length, and checksum before
-/// decoding. Handles format-2 (monolithic) and format-3 (sectioned) base
-/// snapshots; a delta fails with [`PersistError::MissingBase`] — resolve
+/// decoding. A delta fails with [`PersistError::MissingBase`] — resolve
 /// its parents first and use [`restore_from_chain`], or go through
 /// [`load_checkpoint`] which does so automatically. Returns the stream
 /// position alongside the tracker.
@@ -363,15 +326,9 @@ pub fn restore_from_slice<T: Persist>(
         SnapshotKind::Delta => Err(PersistError::MissingBase {
             snapshot_id: manifest.parent_id,
         }),
-        SnapshotKind::Base if manifest.format_version >= 3 => {
+        SnapshotKind::Base => {
             let map = codec::SectionMap::from_single(payload)?;
             Ok((manifest.step, T::read_sections(&map)?))
-        }
-        SnapshotKind::Base => {
-            let mut pr = codec::Reader::new(payload);
-            let tracker = T::read_state(&mut pr)?;
-            pr.finish()?;
-            Ok((manifest.step, tracker))
         }
     }
 }
@@ -401,11 +358,6 @@ pub fn restore_from_chain<T: Persist>(
     let mut seen = HashSet::new();
     for (i, bytes) in links.iter().enumerate() {
         let (m, payload) = validate_envelope::<T>(bytes, cfg)?;
-        if m.format_version < 3 {
-            return Err(PersistError::Corrupt(codec::CodecError::Invalid(
-                "format-2 checkpoints cannot participate in a delta chain",
-            )));
-        }
         if i == 0 {
             tip_step = m.step;
         } else if m.snapshot_id != expected_parent {
@@ -591,7 +543,7 @@ fn find_snapshot_in_dir(
         let Ok(m) = read_manifest(&path) else {
             continue;
         };
-        if m.format_version >= 3 && m.snapshot_id == snapshot_id {
+        if m.snapshot_id == snapshot_id {
             return Ok(Some(std::fs::read(&path)?));
         }
     }
@@ -988,9 +940,9 @@ mod tests {
 
     #[test]
     fn bit_flips_anywhere_fail_the_restore() {
-        // Format 3's envelope checksum covers the header too, so *every*
-        // byte of the file is protected — including the stream position
-        // and snapshot ids, which format 2 could not verify.
+        // The envelope checksum covers the header too, so *every* byte of
+        // the file is protected — including the stream position and
+        // snapshot ids.
         let (cfg, live) = small_hist();
         let bytes = checkpoint_to_vec(&live, &cfg, 2);
         for at in 0..bytes.len() {

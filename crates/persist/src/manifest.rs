@@ -1,13 +1,13 @@
 //! The checkpoint manifest header.
 //!
 //! Every checkpoint file starts with a fixed-layout header that can be
-//! parsed without decoding the (much larger) state payload. The format-3
+//! parsed without decoding the (much larger) state payload. The format-4
 //! layout:
 //!
 //! | field | bytes | offset | contents |
 //! |-------|-------|--------|----------|
 //! | magic | 8 | 0 | `b"TDNCKPT\0"` |
-//! | format version | 4 | 8 | little-endian `u32`, currently 3 |
+//! | format version | 4 | 8 | little-endian `u32`, currently 4 |
 //! | tracker kind | 1 | 12 | [`TrackerKind`] tag |
 //! | config hash | 8 | 13 | FNV-1a of the serialized `TrackerConfig` |
 //! | stream position | 8 | 21 | steps already processed (restore resumes here) |
@@ -19,42 +19,30 @@
 //!
 //! The payload follows at byte 64 (8-byte aligned, so the sectioned
 //! container's aligned word runs stay aligned in the file), then an 8-byte
-//! FNV-1a checksum covering the **header and payload** together — unlike
-//! format 2, a bit flip anywhere in the header (stream position, snapshot
-//! ids, reserved bytes) fails the restore instead of silently changing
-//! resume metadata. Format-2 files — a 37-byte header followed immediately
-//! by a monolithic payload and a payload-only checksum — remain readable:
-//! the shared prefix through `payload length` is byte-identical across
-//! both versions, and a v2 file parses as an implicit base snapshot with
-//! zeroed snapshot/parent ids.
+//! FNV-1a checksum covering the **header and payload** together, so a bit
+//! flip anywhere in the header (stream position, snapshot ids, reserved
+//! bytes) fails the restore instead of silently changing resume metadata.
 //!
 //! Versioning rule: the version is bumped whenever any snapshot layout
-//! changes; readers reject versions they do not understand *before*
-//! touching the payload (see `DESIGN.md § Scale-ready persistence`).
+//! changes; readers reject every version but their own *before* touching
+//! the payload (see `DESIGN.md § Persistence & recovery`).
 
 use crate::error::PersistError;
 
 /// File magic: identifies TDN checkpoints regardless of version.
 pub const MAGIC: [u8; 8] = *b"TDNCKPT\0";
 
-/// The format version this build writes. Version 3 introduced sectioned
-/// payloads (per-section checksums behind a table of contents) and the
-/// base + delta snapshot model; version 2 files (monolithic payload) are
-/// still read. Version 2 added the incremental spread-maintenance engine's
-/// state to the payload layout.
-pub const FORMAT_VERSION: u32 = 3;
+/// The format version this build writes and the only one it reads.
+/// Version 4 gave every tracker its own sections (instances and graphs
+/// included) and dropped the monolithic layouts that versions 2 and 3
+/// still carried; files of older versions fail with
+/// [`PersistError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 4;
 
-/// Oldest format version this build still reads.
-pub const MIN_READ_VERSION: u32 = 2;
-
-/// Byte offset of the payload in a format-3 file (the header is padded to
-/// 64 bytes so aligned word runs inside the sectioned payload stay
-/// 8-byte aligned on disk).
-pub const V3_PAYLOAD_OFFSET: usize = 64;
-
-/// Byte offset of the payload in a format-2 file (header was 37 bytes,
-/// payload followed immediately).
-pub const V2_PAYLOAD_OFFSET: usize = 37;
+/// Byte offset of the payload (the header is padded to 64 bytes so
+/// aligned word runs inside the sectioned payload stay 8-byte aligned on
+/// disk).
+pub const PAYLOAD_OFFSET: usize = 64;
 
 /// Which tracker type a checkpoint holds. The tag is part of the on-disk
 /// format: restoring a file into the wrong tracker type fails with
@@ -89,8 +77,7 @@ impl TrackerKind {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SnapshotKind {
-    /// Self-contained: every section's payload is inline. Format-2 files
-    /// are implicitly bases.
+    /// Self-contained: every section's payload is inline.
     Base = 1,
     /// Sections unchanged since the parent snapshot are stored as
     /// `(length, checksum)` references; restoring needs the parent chain.
@@ -122,10 +109,10 @@ pub struct Manifest {
     pub step: u64,
     /// Byte length of the state payload that follows the header.
     pub payload_len: u64,
-    /// Base or delta. Format-2 files parse as [`SnapshotKind::Base`].
+    /// Base or delta.
     pub snapshot_kind: SnapshotKind,
     /// Content-derived identity: FNV-1a over (payload checksum, step,
-    /// parent id). Zero for format-2 files, which predate snapshot ids.
+    /// parent id).
     pub snapshot_id: u64,
     /// For a delta, the [`Manifest::snapshot_id`] of its parent; zero for a
     /// base.
@@ -133,7 +120,7 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Serializes the header in the format-3 layout (64 bytes).
+    /// Serializes the header (64 bytes).
     pub(crate) fn write(&self, w: &mut codec::Writer) {
         debug_assert_eq!(self.format_version, FORMAT_VERSION);
         for b in MAGIC {
@@ -147,15 +134,14 @@ impl Manifest {
         w.put_u8(self.snapshot_kind as u8);
         w.put_u64(self.snapshot_id);
         w.put_u64(self.parent_id);
-        for _ in 0..(V3_PAYLOAD_OFFSET - 54) {
+        for _ in 0..(PAYLOAD_OFFSET - 54) {
             w.put_u8(0);
         }
     }
 
     /// Parses and validates a header: magic first, then version, then the
     /// kind tag — so the most actionable error wins when several things are
-    /// wrong at once. Accepts formats 2 and 3; a v2 header yields an
-    /// implicit base with zeroed snapshot ids.
+    /// wrong at once.
     pub(crate) fn read(r: &mut codec::Reader<'_>) -> Result<Self, PersistError> {
         let mut magic = [0u8; 8];
         for slot in &mut magic {
@@ -165,7 +151,7 @@ impl Manifest {
             return Err(PersistError::BadMagic);
         }
         let format_version = r.get_u32()?;
-        if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&format_version) {
+        if format_version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion {
                 found: format_version,
                 supported: FORMAT_VERSION,
@@ -178,20 +164,14 @@ impl Manifest {
         let kind = TrackerKind::from_tag(tag).ok_or(PersistError::Corrupt(
             codec::CodecError::Invalid("unknown tracker kind tag"),
         ))?;
-        let (snapshot_kind, snapshot_id, parent_id) = if format_version >= 3 {
-            let kind_tag = r.get_u8()?;
-            let snapshot_kind = SnapshotKind::from_tag(kind_tag).ok_or(PersistError::Corrupt(
-                codec::CodecError::Invalid("unknown snapshot kind tag"),
-            ))?;
-            let snapshot_id = r.get_u64()?;
-            let parent_id = r.get_u64()?;
-            for _ in 0..(V3_PAYLOAD_OFFSET - 54) {
-                r.get_u8()?;
-            }
-            (snapshot_kind, snapshot_id, parent_id)
-        } else {
-            (SnapshotKind::Base, 0, 0)
-        };
+        let snapshot_kind = SnapshotKind::from_tag(r.get_u8()?).ok_or(PersistError::Corrupt(
+            codec::CodecError::Invalid("unknown snapshot kind tag"),
+        ))?;
+        let snapshot_id = r.get_u64()?;
+        let parent_id = r.get_u64()?;
+        for _ in 0..(PAYLOAD_OFFSET - 54) {
+            r.get_u8()?;
+        }
         if snapshot_kind == SnapshotKind::Base && parent_id != 0 {
             return Err(PersistError::Corrupt(codec::CodecError::Invalid(
                 "base snapshot carries a parent id",

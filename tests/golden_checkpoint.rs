@@ -1,13 +1,13 @@
-//! Golden checkpoint fixtures: format-v2 `.tdnc` files committed to the
-//! repo (generated before the flat-graph-core refactor) must keep
-//! restoring cleanly, and the restored tracker must continue the stream
-//! bit-identically to an uninterrupted run of today's code.
+//! Golden checkpoint fixtures: format-4 `.tdnc` base snapshots committed
+//! to the repo must keep restoring cleanly, and the restored tracker must
+//! continue the stream bit-identically to an uninterrupted run of today's
+//! code.
 //!
 //! This pins the *byte format* across internal data-structure changes:
 //! adjacency arenas, cover-set backends, and traversal strategies may all
-//! change, but `write_snapshot`/`read_snapshot` must keep speaking the
-//! exact serialized shape (order-sensitive structures verbatim, covers in
-//! canonical sorted order) that older checkpoints used.
+//! change, but the trackers' `write_sections`/`read_sections` must keep
+//! speaking the exact serialized shape (order-sensitive structures
+//! verbatim) that the committed checkpoints use.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -q golden_checkpoint` —
 //! only legitimate when the checkpoint format version itself is bumped.
@@ -70,7 +70,7 @@ where
     let manifest = read_manifest(&path).expect("fixture manifest readable");
     assert_eq!(manifest.step, CUT, "{name}: fixture cut drifted");
     let (resume, mut warm): (u64, T) =
-        load_checkpoint(&path, &cfg()).expect("pre-refactor checkpoint restores");
+        load_checkpoint(&path, &cfg()).expect("committed checkpoint restores");
     assert_eq!(resume, CUT);
     // Continue the stream on the restored tracker and on a fresh
     // uninterrupted run; they must agree on every solution and on the
