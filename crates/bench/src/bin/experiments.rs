@@ -1,11 +1,8 @@
-//! Experiment CLI: regenerates every table and figure of the paper.
+//! Experiment CLI: regenerates every table and figure of the paper, plus
+//! the beyond-paper targets (EXPERIMENTS.md maps each to its figure).
 //!
 //! ```text
 //! experiments <target>... [--full] [--out DIR] [--bench-out DIR]...
-//!             [--checkpoint-every N]
-//!   targets: table1 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
-//!            ablations throughput restore engine scale sketch serve
-//!            chaos all
 //!   --full               paper-scale sweeps (default: quick)
 //!   --out                output directory for CSVs (default: results)
 //!   --bench-out          extra directories the `BENCH_*.json` regression
@@ -13,11 +10,11 @@
 //!                        (repeatable; default: the repo root, so every
 //!                        bench run refreshes both `results/BENCH_*.json`
 //!                        and the committed `./BENCH_*.json` copies)
-//!   --checkpoint-every   steps between checkpoints for the `restore`
-//!                        target (default: an eighth of the stream)
 //! ```
 //!
-//! Figs. 8–10 come from shared runs (one runner), as do Figs. 13–14.
+//! The targets are the rows of `TARGETS`, plus `all`, which runs every
+//! row once. A row's later names are aliases: Figs. 8–10 come from one
+//! shared run, as do Figs. 13–14.
 //!
 //! Any failed in-experiment invariant (thread-count determinism,
 //! spread-mode bit-identity, warm-restart equality) surfaces as a target
@@ -29,30 +26,51 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tdn_bench::experiments::{
     ablations, chaos, engine, fig11_12, fig13_14, fig7, fig8_10, restore, scale as scale_exp,
-    serve, sketch, table1, throughput,
+    sketch, table1, throughput,
 };
 use tdn_bench::Scale;
 
+/// Runs one target, writing into the output directory.
+type Runner = fn(&Path, &Scale) -> std::io::Result<()>;
+
+/// Every target in `all` order: its names (the first is canonical, the
+/// rest are aliases) and its runner.
+const TARGETS: [(&[&str], Runner); 13] = [
+    (&["table1"], |out, _| table1::run(out)),
+    (&["fig7"], fig7::run),
+    (&["fig8", "fig9", "fig10"], fig8_10::run),
+    (&["fig11"], fig11_12::run_fig11),
+    (&["fig12"], fig11_12::run_fig12),
+    (&["fig13", "fig14"], fig13_14::run),
+    (&["ablations"], ablations::run),
+    (&["throughput"], throughput::run),
+    (&["restore"], restore::run),
+    (&["engine"], engine::run),
+    (&["scale"], scale_exp::run),
+    (&["sketch"], sketch::run),
+    (&["chaos"], chaos::run),
+];
+
 fn usage() -> ExitCode {
+    let names: Vec<&str> = TARGETS
+        .iter()
+        .flat_map(|(names, _)| names.iter().copied())
+        .collect();
     eprintln!(
-        "usage: experiments <target>... [--full] [--out DIR] [--bench-out DIR]... \
-         [--checkpoint-every N]\n\
-         targets: table1 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 ablations \
-         throughput restore engine scale sketch serve chaos all"
+        "usage: experiments <target>... [--full] [--out DIR] [--bench-out DIR]...\n\
+         targets: {} all",
+        names.join(" ")
     );
     ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
-    }
     let mut full = false;
     let mut out = PathBuf::from("results");
     let mut bench_out: Vec<PathBuf> = Vec::new();
-    let mut checkpoint_every: Option<usize> = None;
-    let mut targets: BTreeSet<&str> = BTreeSet::new();
+    // Indices into TARGETS: each row runs at most once, in table order.
+    let mut targets: BTreeSet<usize> = BTreeSet::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -66,41 +84,13 @@ fn main() -> ExitCode {
                 Some(dir) => bench_out.push(PathBuf::from(dir)),
                 None => return usage(),
             },
-            "--checkpoint-every" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => checkpoint_every = Some(n),
-                _ => return usage(),
-            },
-            t @ ("table1" | "fig7" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "fig13"
-            | "fig14" | "ablations" | "throughput" | "restore" | "engine" | "scale"
-            | "sketch" | "serve" | "chaos") => {
-                // Shared runners: figs 8-10 and 13-14 are joint.
-                targets.insert(match t {
-                    "fig9" | "fig10" => "fig8",
-                    "fig14" => "fig13",
-                    other => other,
-                });
+            "all" => targets.extend(0..TARGETS.len()),
+            name => {
+                let Some(i) = TARGETS.iter().position(|(names, _)| names.contains(&name)) else {
+                    return usage();
+                };
+                targets.insert(i);
             }
-            "all" => {
-                for t in [
-                    "table1",
-                    "fig7",
-                    "fig8",
-                    "fig11",
-                    "fig12",
-                    "fig13",
-                    "ablations",
-                    "throughput",
-                    "restore",
-                    "engine",
-                    "scale",
-                    "sketch",
-                    "serve",
-                    "chaos",
-                ] {
-                    targets.insert(t);
-                }
-            }
-            _ => return usage(),
         }
     }
     if targets.is_empty() {
@@ -112,30 +102,15 @@ fn main() -> ExitCode {
     let scale = if full { Scale::full() } else { Scale::quick() };
     println!(
         "running {:?} at {} scale -> {}",
-        targets,
+        targets.iter().map(|&i| TARGETS[i].0[0]).collect::<Vec<_>>(),
         if full { "FULL (paper)" } else { "QUICK" },
         out.display()
     );
-    for t in targets {
+    for i in targets {
+        let (names, run) = TARGETS[i];
+        let t = names[0];
         let started = std::time::Instant::now();
-        let res = match t {
-            "table1" => table1::run(&out),
-            "fig7" => fig7::run(&out, &scale),
-            "fig8" => fig8_10::run(&out, &scale),
-            "fig11" => fig11_12::run_fig11(&out, &scale),
-            "fig12" => fig11_12::run_fig12(&out, &scale),
-            "fig13" => fig13_14::run(&out, &scale),
-            "ablations" => ablations::run(&out, &scale),
-            "throughput" => throughput::run(&out, &scale),
-            "restore" => restore::run(&out, &scale, checkpoint_every),
-            "engine" => engine::run(&out, &scale),
-            "scale" => scale_exp::run(&out, &scale),
-            "sketch" => sketch::run(&out, &scale),
-            "serve" => serve::run(&out, &scale),
-            "chaos" => chaos::run(&out, &scale),
-            _ => unreachable!("validated above"),
-        };
-        match res.and_then(|()| mirror_bench_json(t, &out, &bench_out)) {
+        match run(&out, &scale).and_then(|()| mirror_bench_json(t, &out, &bench_out)) {
             Ok(()) => println!("[{t}] done in {:.1}s", started.elapsed().as_secs_f64()),
             Err(e) => {
                 eprintln!("[{t}] failed: {e}");

@@ -122,12 +122,6 @@ impl RunLog {
         self.edges as f64 / self.wall_secs
     }
 
-    /// Step-latency percentile in seconds (`q` in `[0, 1]`; e.g. `0.5` for
-    /// p50, `0.99` for p99) over the per-step wall times.
-    pub fn step_latency_secs(&self, q: f64) -> f64 {
-        crate::report::percentile(&self.step_secs, q)
-    }
-
     /// Mean of `self.values[i] / other.values[i]` (solution-quality ratio,
     /// Figs. 9/11/12/13). Steps where the reference is 0 are skipped.
     pub fn mean_ratio_to(&self, other: &RunLog) -> f64 {
@@ -250,6 +244,7 @@ pub fn run_tracker_checkpointed<T: InfluenceTracker + Persist>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::percentile;
     use tdn_core::{HistApprox, TrackerConfig};
 
     #[test]
@@ -291,7 +286,10 @@ mod tests {
         // Per-step latency: one sample per step, percentiles ordered, and
         // the samples must sum to (at most) the whole-run wall time.
         assert_eq!(log.step_secs.len(), 60);
-        let (p50, p99) = (log.step_latency_secs(0.5), log.step_latency_secs(0.99));
+        let (p50, p99) = (
+            percentile(&log.step_secs, 0.5),
+            percentile(&log.step_secs, 0.99),
+        );
         assert!(p50 > 0.0 && p50 <= p99);
         assert!(log.step_secs.iter().sum::<f64>() <= log.wall_secs);
     }

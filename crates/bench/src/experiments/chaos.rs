@@ -25,9 +25,8 @@
 //!    non-zero via [`ensure`].
 
 use crate::checks::ensure;
-use crate::report::{f, percentile, print_table};
+use crate::report::{in_scratch_dir, obj, percentile, print_table, write_bench, Json};
 use crate::scale::Scale;
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
@@ -36,7 +35,7 @@ use tdn_core::{SieveAdnTracker, Solution, TrackerConfig};
 use tdn_faults::{silence_injected_panics, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
 use tdn_graph::Time;
 use tdn_serve::{FlushReport, RetryPolicy, ServeConfig, ServeError, Server, ShedPolicy, TenantId};
-use tdn_streams::{TenantWorkload, TenantWorkloadConfig};
+use tdn_streams::{TenantWorkload, TenantWorkloadConfig, TimedEdge};
 
 const SHARDS: usize = 4;
 const K: usize = 8;
@@ -68,6 +67,19 @@ fn workload(scale: &Scale) -> TenantWorkload {
         max_lifetime: MAX_LIFETIME,
         seed: scale.seed ^ 0xC4A0_5000,
     })
+}
+
+/// Tick `t`'s non-empty batches in rotating tenant order, matching
+/// `TenantWorkload::interleaved`.
+fn tick_batches(
+    w: &TenantWorkload,
+    t: Time,
+) -> impl Iterator<Item = (TenantId, Vec<TimedEdge>)> + '_ {
+    let tenants = w.config().tenants as u64;
+    (0..tenants)
+        .map(move |slot| (slot + t) % tenants)
+        .map(move |tenant| (tenant, w.batch_at(tenant as u32, t)))
+        .filter(|(_, edges)| !edges.is_empty())
 }
 
 fn tracker_cfg() -> TrackerConfig {
@@ -132,9 +144,7 @@ struct StormOutcome {
 /// zero (the gate).
 fn storm_run(scale: &Scale, seed: u64, dir: &Path) -> std::io::Result<StormOutcome> {
     let w = workload(scale);
-    let tenants = w.config().tenants as u64;
     let ticks = scale.chaos_ticks;
-    let _ = std::fs::remove_dir_all(dir);
     let plan = Arc::new(FaultPlan::new(plan_cfg(seed)));
     // Retry budget must exceed the worst consecutive-failure run a site
     // cap allows (4 I/O kinds × MAX_PER_SITE fires), or a fault storm
@@ -175,7 +185,7 @@ fn storm_run(scale: &Scale, seed: u64, dir: &Path) -> std::io::Result<StormOutco
         server: &mut Server<SieveAdnTracker>,
         tenant: TenantId,
         t: Time,
-        edges: Vec<tdn_streams::TimedEdge>,
+        edges: Vec<TimedEdge>,
         out: &mut StormOutcome,
     ) -> std::io::Result<()> {
         let mut edges = edges;
@@ -241,13 +251,8 @@ fn storm_run(scale: &Scale, seed: u64, dir: &Path) -> std::io::Result<StormOutco
     }
 
     for t in 0..ticks {
-        // Rotating tenant order, matching TenantWorkload::interleaved.
-        for slot in 0..tenants {
-            let tenant = (slot + t) % tenants;
-            let edges = w.batch_at(tenant as u32, t);
-            if !edges.is_empty() {
-                submit_lossless(&mut server, tenant, t, edges, &mut out)?;
-            }
+        for (tenant, edges) in tick_batches(&w, t) {
+            submit_lossless(&mut server, tenant, t, edges, &mut out)?;
         }
         flush_counted(&mut server, &mut out)?;
         // Write-path availability sample, before the supervisor repairs.
@@ -275,12 +280,8 @@ fn storm_run(scale: &Scale, seed: u64, dir: &Path) -> std::io::Result<StormOutco
             // At-least-once replay of the whole applied prefix, for every
             // tenant; the idempotence guard skips what survived on disk.
             for tt in 0..=t {
-                for slot in 0..tenants {
-                    let tenant = (slot + tt) % tenants;
-                    let edges = w.batch_at(tenant as u32, tt);
-                    if !edges.is_empty() {
-                        submit_lossless(&mut server, tenant, tt, edges, &mut out)?;
-                    }
+                for (tenant, edges) in tick_batches(&w, tt) {
+                    submit_lossless(&mut server, tenant, tt, edges, &mut out)?;
                 }
                 flush_counted(&mut server, &mut out)?;
             }
@@ -304,7 +305,6 @@ fn storm_run(scale: &Scale, seed: u64, dir: &Path) -> std::io::Result<StormOutco
     out.injected = plan.injected() as u64;
     out.rolls = plan.rolls();
     out.fingerprints = fingerprints(&server);
-    let _ = std::fs::remove_dir_all(dir);
     Ok(out)
 }
 
@@ -318,16 +318,11 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
     // ---- 1. Reference: the same firehose, no faults --------------------
     let mut reference =
         Server::<SieveAdnTracker>::new(ServeConfig::new(SHARDS, tracker_cfg())).map_err(io_err)?;
-    let tenants = w.config().tenants as u64;
     for t in 0..ticks {
-        for slot in 0..tenants {
-            let tenant = (slot + t) % tenants;
-            let edges = w.batch_at(tenant as u32, t);
-            if !edges.is_empty() {
-                reference
-                    .submit_batch(tenant, t, edges)
-                    .expect("unbounded queues never reject");
-            }
+        for (tenant, edges) in tick_batches(&w, t) {
+            reference
+                .submit_batch(tenant, t, edges)
+                .expect("unbounded queues never reject");
         }
         reference.flush().map_err(io_err)?;
     }
@@ -335,8 +330,8 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
 
     // ---- 2 & 3. The storm, twice (determinism gate) --------------------
     let dir = out_dir.join("chaos_chains");
-    let storm = storm_run(scale, storm_seed, &dir)?;
-    let rerun = storm_run(scale, storm_seed, &dir)?;
+    let storm = in_scratch_dir(&dir, |dir| storm_run(scale, storm_seed, dir))?;
+    let rerun = in_scratch_dir(&dir, |dir| storm_run(scale, storm_seed, dir))?;
     ensure(
         storm.trace == rerun.trace,
         "CHAOS NONDETERMINISM: same seed produced different fault traces",
@@ -401,15 +396,11 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
     let overload_ticks = ticks.min(40);
     let mut overload_report = FlushReport::default();
     for t in 0..overload_ticks {
-        for slot in 0..tenants {
-            let tenant = (slot + t) % tenants;
-            let edges = w.batch_at(tenant as u32, t);
-            if !edges.is_empty() {
-                submitted += edges.len() as u64;
-                overload
-                    .submit_batch(tenant, t, edges)
-                    .expect("drop-oldest never rejects");
-            }
+        for (tenant, edges) in tick_batches(&w, t) {
+            submitted += edges.len() as u64;
+            overload
+                .submit_batch(tenant, t, edges)
+                .expect("drop-oldest never rejects");
         }
         if t % 4 == 3 {
             overload_report.merge(&overload.flush().map_err(io_err)?);
@@ -472,128 +463,55 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
         repair_p99,
     );
 
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_chaos.json");
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"experiment\": \"chaos\",")?;
-    writeln!(
-        out,
-        "  \"workload\": {{\"tenants\": {}, \"ticks\": {ticks}, \"events_per_tick\": {}, \
-         \"seed\": {}}},",
-        w.config().tenants,
-        w.config().events_per_tick,
-        w.config().seed,
-    )?;
-    writeln!(
-        out,
-        "  \"config\": {{\"shards\": {SHARDS}, \"tracker\": \"SieveAdnTracker\", \
-         \"queue_cap\": {QUEUE_CAP}, \"storm_seed\": {storm_seed}, \"io_rate_per_10k\": {IO_RATE}, \
-         \"panic_rate_per_10k\": {PANIC_RATE}, \"crash_rate_per_10k\": {CRASH_RATE}, \
-         \"max_per_site\": {MAX_PER_SITE}}},",
-    )?;
-    writeln!(
-        out,
-        "  \"storm\": {{\"fault_events\": {}, \"rolls\": {}, \"kinds_fired\": {kinds_fired}, \
-         \"crashes\": {}, \"revives\": {}, \"resubmissions\": {}, \"stale_tmp_removed\": {}, \
-         \"recovery_quarantined\": {}, \"escaped_panics\": {}}},",
-        storm.injected,
-        storm.rolls,
-        storm.crashes,
-        storm.revives,
-        storm.resubmissions,
-        storm.stale_tmp_removed,
-        storm.recovery_quarantined,
-        storm.escaped_panics,
-    )?;
-    writeln!(out, "  \"faults_by_kind\": {{")?;
-    for (i, k) in FaultKind::ALL.iter().enumerate() {
-        writeln!(
-            out,
-            "    \"{}\": {}{}",
-            k.name(),
-            storm.counts_by_kind[k.tag() as usize],
-            if i + 1 == FaultKind::ALL.len() {
-                ""
-            } else {
-                ","
-            },
-        )?;
-    }
-    writeln!(out, "  }},")?;
-    writeln!(
-        out,
-        "  \"flush_totals\": {{\"steps\": {}, \"events\": {}, \"skipped_events\": {}, \
-         \"panics\": {}, \"panicked_events\": {}, \"quarantined_events\": {}, \
-         \"rejected_events\": {}, \"checkpoints\": {}, \"checkpoint_failures\": {}, \
-         \"checkpoints_deferred\": {}}},",
-        storm.report.steps,
-        storm.report.events,
-        storm.report.skipped_events,
-        storm.report.panics,
-        storm.report.panicked_events,
-        storm.report.quarantined_events,
-        storm.report.rejected_events,
-        storm.report.checkpoints,
-        storm.report.checkpoint_failures,
-        storm.report.checkpoints_deferred,
-    )?;
-    writeln!(
-        out,
-        "  \"availability\": {{\"write_path_mean\": {}, \"write_path_min\": {}}},",
-        f(avail_mean),
-        f(avail_min),
-    )?;
-    writeln!(
-        out,
-        "  \"repair_latency_ms\": {{\"p50\": {}, \"p99\": {}, \"samples\": {}}},",
-        f(repair_p50),
-        f(repair_p99),
-        storm.repair_ms.len(),
-    )?;
-    writeln!(
-        out,
-        "  \"recover_latency_ms\": {{\"p50\": {}, \"p99\": {}, \"samples\": {}}},",
-        f(recover_p50),
-        f(recover_p99),
-        storm.recover_ms.len(),
-    )?;
-    writeln!(
-        out,
-        "  \"overload\": {{\"submitted\": {submitted}, \"applied\": {}, \"skipped\": {}, \
-         \"shed\": {}, \"accounted\": true}},",
-        overload_report.events, overload_report.skipped_events, overload_report.shed_events,
-    )?;
-    writeln!(
-        out,
-        "  \"identity\": {{\"tenants\": {}, \"bit_identical\": {}, \"quarantined\": {}, \
-         \"bit_identical_or_quarantined\": true}},",
-        storm.fingerprints.len(),
-        storm.fingerprints.len() - storm.unrepaired.len(),
-        storm.unrepaired.len(),
-    )?;
-    writeln!(
-        out,
-        "  \"trace\": {{\"deterministic\": true, \"len\": {}, \"head\": [",
-        storm.trace.len(),
-    )?;
-    for (i, e) in storm.trace.iter().take(8).enumerate() {
-        writeln!(
-            out,
-            "    {{\"kind\": \"{}\", \"scope\": {}, \"occurrence\": {}}}{}",
-            e.kind.name(),
-            e.scope,
-            e.occurrence,
-            if i + 1 == storm.trace.len().min(8) {
-                ""
-            } else {
-                ","
-            },
-        )?;
-    }
-    writeln!(out, "  ]}}")?;
-    writeln!(out, "}}")?;
-    out.flush()?;
-    println!("wrote {}", path.display());
-    Ok(())
+    let faults_by_kind = FaultKind::ALL
+        .iter()
+        .map(|k| {
+            (
+                k.name().to_string(),
+                storm.counts_by_kind[k.tag() as usize].into(),
+            )
+        })
+        .collect();
+    let trace_head: Vec<Json> = storm
+        .trace
+        .iter()
+        .take(8)
+        .map(|e| {
+            obj! {"kind": e.kind.name(), "scope": e.scope, "occurrence": e.occurrence}
+        })
+        .collect();
+    let r = &storm.report;
+    let bit_identical = storm.fingerprints.len() - storm.unrepaired.len();
+    let fields = obj! {
+        "workload": obj! {"tenants": w.config().tenants, "ticks": ticks,
+            "events_per_tick": w.config().events_per_tick, "seed": w.config().seed},
+        "config": obj! {"shards": SHARDS, "tracker": "SieveAdnTracker",
+            "queue_cap": QUEUE_CAP, "storm_seed": storm_seed, "io_rate_per_10k": IO_RATE,
+            "panic_rate_per_10k": PANIC_RATE, "crash_rate_per_10k": CRASH_RATE,
+            "max_per_site": MAX_PER_SITE},
+        "storm": obj! {"fault_events": storm.injected, "rolls": storm.rolls,
+            "kinds_fired": kinds_fired, "crashes": storm.crashes, "revives": storm.revives,
+            "resubmissions": storm.resubmissions, "stale_tmp_removed": storm.stale_tmp_removed,
+            "recovery_quarantined": storm.recovery_quarantined,
+            "escaped_panics": storm.escaped_panics},
+        "faults_by_kind": Json::Obj(faults_by_kind),
+        "flush_totals": obj! {"steps": r.steps, "events": r.events,
+            "skipped_events": r.skipped_events, "panics": r.panics,
+            "panicked_events": r.panicked_events, "quarantined_events": r.quarantined_events,
+            "rejected_events": r.rejected_events, "checkpoints": r.checkpoints,
+            "checkpoint_failures": r.checkpoint_failures,
+            "checkpoints_deferred": r.checkpoints_deferred},
+        "availability": obj! {"write_path_mean": avail_mean, "write_path_min": avail_min},
+        "repair_latency_ms": obj! {"p50": repair_p50, "p99": repair_p99,
+            "samples": storm.repair_ms.len()},
+        "recover_latency_ms": obj! {"p50": recover_p50, "p99": recover_p99,
+            "samples": storm.recover_ms.len()},
+        "overload": obj! {"submitted": submitted, "applied": overload_report.events,
+            "skipped": overload_report.skipped_events, "shed": overload_report.shed_events,
+            "accounted": true},
+        "identity": obj! {"tenants": storm.fingerprints.len(), "bit_identical": bit_identical,
+            "quarantined": storm.unrepaired.len(), "bit_identical_or_quarantined": true},
+        "trace": obj! {"deterministic": true, "len": storm.trace.len(), "head": trace_head},
+    };
+    write_bench(out_dir, "chaos", scale, fields)
 }

@@ -3,9 +3,10 @@
 //! kernels) timed against the [`SpreadMode::FullRecompute`] reference.
 //!
 //! Every workload replays one prepared stream through both modes in
-//! three interleaved repetitions (full, incremental, full, …) and
-//! reports the minimum and median wall time per mode. Speedups are
-//! reported unfiltered, including workloads where the engine loses.
+//! [`REPS`] interleaved rounds (full, incremental, full, …, through
+//! [`repeat`]) and reports the min, median and max wall time per mode.
+//! Speedups are reported unfiltered, including workloads where the
+//! engine loses.
 //!
 //! The run **fails with a non-zero exit** on any correctness miss; there
 //! is no wall-clock bar:
@@ -25,9 +26,8 @@
 
 use crate::checks::ensure;
 use crate::driver::{run_tracker, PreparedStream, RunLog};
-use crate::report::{f, percentile, print_table};
+use crate::report::{f, host_cores, obj, print_table, repeat, write_bench, Json, Spread, REPS};
 use crate::scale::Scale;
-use std::io::Write;
 use std::path::Path;
 use tdn_core::{
     HistApprox, SieveAdnTracker, SpreadMode, SpreadStatsSnapshot, SweepDirection, TrackerConfig,
@@ -38,10 +38,6 @@ use tdn_streams::Dataset;
 const EPS: f64 = 0.3;
 const P: f64 = 0.001;
 const K: usize = 10;
-
-/// Timed repetitions per mode, interleaved so drifting host load hits
-/// both modes about equally.
-const REPS: usize = 3;
 
 /// Which tracker a workload measures.
 #[derive(Copy, Clone, PartialEq, Eq)]
@@ -172,8 +168,8 @@ struct Point {
     steps: usize,
     edges: u64,
     oracle_calls: u64,
-    full_secs: Vec<f64>,
-    incr_secs: Vec<f64>,
+    full: Spread,
+    incr: Spread,
     engine: SpreadStatsSnapshot,
     grid_cells: usize,
     bottom_up_sweeps: u64,
@@ -181,7 +177,7 @@ struct Point {
 
 impl Point {
     fn speedup(&self) -> f64 {
-        percentile(&self.full_secs, 0.5) / percentile(&self.incr_secs, 0.5).max(1e-9)
+        self.full.median_s / self.incr.median_s.max(1e-9)
     }
 }
 
@@ -194,28 +190,25 @@ fn measure(w: &'static Workload, scale: &Scale) -> std::io::Result<Point> {
         scale.steps_main * w.steps_factor,
     )
     .coalesce(w.batch_ticks);
-    let (mut full_secs, mut incr_secs) = (Vec::new(), Vec::new());
-    let mut logs = Vec::new();
-    let mut engine = SpreadStatsSnapshot::default();
-    let mut bottom_up_sweeps = 0;
-    for rep in 0..REPS {
-        let (full, _) = run_mode(
-            w,
-            &stream,
-            SpreadMode::FullRecompute,
-            TraversalKind::Wide,
-            1,
-        );
-        let before = tdn_graph::bottom_up_sweeps();
-        let (incr, stats) = run_mode(w, &stream, SpreadMode::Incremental, TraversalKind::Wide, 1);
-        if rep == 0 {
-            bottom_up_sweeps = tdn_graph::bottom_up_sweeps() - before;
-            engine = stats;
-        }
-        full_secs.push(full.wall_secs);
-        incr_secs.push(incr.wall_secs);
-        logs.extend([full, incr]);
-    }
+    let arms = repeat(
+        &[SpreadMode::FullRecompute, SpreadMode::Incremental],
+        |&mode| {
+            let before = tdn_graph::bottom_up_sweeps();
+            let (log, stats) = run_mode(w, &stream, mode, TraversalKind::Wide, 1);
+            (log, stats, tdn_graph::bottom_up_sweeps() - before)
+        },
+    );
+    let (full, incr) = (arms[0].spread(), arms[1].spread());
+    let (_, engine, bottom_up_sweeps) = &arms[1].outs[0];
+    let (engine, bottom_up_sweeps) = (engine.clone(), *bottom_up_sweeps);
+    ensure(
+        arms[1].outs.iter().all(|(_, stats, _)| *stats == engine),
+        format!("[{}] engine tallies vary between repetitions", w.name),
+    )?;
+    let mut logs: Vec<RunLog> = arms
+        .into_iter()
+        .flat_map(|arm| arm.outs.into_iter().map(|(log, _, _)| log))
+        .collect();
     for mode in [SpreadMode::FullRecompute, SpreadMode::Incremental] {
         let (log, stats) = run_mode(w, &stream, mode, TraversalKind::Wide, 4);
         ensure(
@@ -266,22 +259,12 @@ fn measure(w: &'static Workload, scale: &Scale) -> std::io::Result<Point> {
         steps: stream.len(),
         edges: stream.edges,
         oracle_calls: reference.total_calls(),
-        full_secs,
-        incr_secs,
+        full,
+        incr,
         engine,
         grid_cells,
         bottom_up_sweeps,
     })
-}
-
-/// `{"min_s": …, "median_s": …, "max_s": …}` over one mode's repetitions.
-fn walls_json(secs: &[f64]) -> String {
-    format!(
-        "{{\"min_s\": {}, \"median_s\": {}, \"max_s\": {}}}",
-        f(percentile(secs, 0.0)),
-        f(percentile(secs, 0.5)),
-        f(percentile(secs, 1.0)),
-    )
 }
 
 /// Runs every workload, enforces the correctness gates, writes
@@ -292,69 +275,6 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
         .map(|w| measure(w, scale))
         .collect::<std::io::Result<Vec<Point>>>()?;
     let bottom_up_sweeps: u64 = points.iter().map(|p| p.bottom_up_sweeps).sum();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_engine.json");
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"experiment\": \"engine\",")?;
-    writeln!(
-        out,
-        "  \"config\": {{\"k\": {K}, \"eps\": {EPS}, \"geo_p\": {P}, \"seed\": {}}},",
-        scale.seed
-    )?;
-    writeln!(out, "  \"host_cores\": {cores},")?;
-    writeln!(out, "  \"reps\": {REPS},")?;
-    writeln!(out, "  \"identical_all\": true,")?;
-    writeln!(out, "  \"identical_grid\": true,")?;
-    writeln!(out, "  \"bottom_up_sweeps\": {bottom_up_sweeps},")?;
-    writeln!(out, "  \"workloads\": [")?;
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i + 1 < points.len() { "," } else { "" };
-        let e = &p.engine;
-        writeln!(out, "    {{")?;
-        writeln!(
-            out,
-            "      \"name\": \"{}\", \"tracker\": \"{}\", \"dataset\": \"{}\", \
-             \"batch_ticks\": {}, \"max_lifetime\": {}, \"steps\": {}, \"edges\": {},",
-            p.w.name,
-            p.w.tracker.name(),
-            p.w.dataset.slug(),
-            p.w.batch_ticks,
-            p.w.max_lifetime,
-            p.steps,
-            p.edges,
-        )?;
-        writeln!(out, "      \"full\": {},", walls_json(&p.full_secs))?;
-        writeln!(out, "      \"incremental\": {},", walls_json(&p.incr_secs))?;
-        writeln!(
-            out,
-            "      \"speedup\": {}, \"oracle_calls\": {}, \"grid_cells\": {}, \
-             \"bottom_up_sweeps\": {},",
-            f(p.speedup()),
-            p.oracle_calls,
-            p.grid_cells,
-            p.bottom_up_sweeps,
-        )?;
-        writeln!(
-            out,
-            "      \"engine\": {{\"redundant_edges\": {}, \"sink_delta_edges\": {}, \
-             \"novel_edges\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"patched_batches\": {}, \"rebuilt_batches\": {}}}",
-            e.redundant_edges,
-            e.sink_delta_edges,
-            e.novel_edges,
-            e.cache_hits,
-            e.cache_misses,
-            e.patched_batches,
-            e.rebuilt_batches,
-        )?;
-        writeln!(out, "    }}{sep}")?;
-    }
-    writeln!(out, "  ]")?;
-    writeln!(out, "}}")?;
-    out.flush()?;
 
     let share =
         |part: u64, rest: u64| format!("{:.0}%", 100.0 * part as f64 / (part + rest).max(1) as f64);
@@ -365,8 +285,8 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
                 p.w.name.to_string(),
                 p.w.tracker.name().to_string(),
                 p.w.batch_ticks.to_string(),
-                f(percentile(&p.full_secs, 0.5)),
-                f(percentile(&p.incr_secs, 0.5)),
+                f(p.full.median_s),
+                f(p.incr.median_s),
                 format!("{:.2}x", p.speedup()),
                 share(p.engine.cache_hits, p.engine.cache_misses),
                 share(p.engine.rebuilt_batches, p.engine.patched_batches),
@@ -377,7 +297,8 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
     print_table(
         &format!(
             "Spread engine: incremental vs full recompute, median of {REPS} \
-             (identical answers, {cores} cores)"
+             (identical answers, {} cores)",
+            host_cores()
         ),
         &[
             "workload",
@@ -392,6 +313,31 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
         ],
         &rows,
     );
-    println!("wrote {}", path.display());
-    Ok(())
+    let workloads: Vec<Json> = points
+        .iter()
+        .map(|p| {
+            let e = &p.engine;
+            obj! {
+                "name": p.w.name, "tracker": p.w.tracker.name(), "dataset": p.w.dataset.slug(),
+                "batch_ticks": p.w.batch_ticks, "max_lifetime": p.w.max_lifetime,
+                "steps": p.steps, "edges": p.edges,
+                "full": p.full, "incremental": p.incr, "speedup": p.speedup(),
+                "oracle_calls": p.oracle_calls, "grid_cells": p.grid_cells,
+                "bottom_up_sweeps": p.bottom_up_sweeps,
+                "engine": obj! {"redundant_edges": e.redundant_edges,
+                    "sink_delta_edges": e.sink_delta_edges, "novel_edges": e.novel_edges,
+                    "cache_hits": e.cache_hits, "cache_misses": e.cache_misses,
+                    "patched_batches": e.patched_batches, "rebuilt_batches": e.rebuilt_batches},
+            }
+        })
+        .collect();
+    let fields = obj! {
+        "config": obj! {"k": K, "eps": EPS, "geo_p": P},
+        "reps": REPS,
+        "identical_all": true,
+        "identical_grid": true,
+        "bottom_up_sweeps": bottom_up_sweeps,
+        "workloads": workloads,
+    };
+    write_bench(out_dir, "engine", scale, fields)
 }

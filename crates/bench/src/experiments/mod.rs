@@ -1,5 +1,6 @@
 //! Experiment runners, one per table/figure of the paper plus ablations.
-//! See DESIGN.md §6 for the per-experiment index.
+//! EXPERIMENTS.md maps each target to its figure and documents every
+//! `BENCH_*.json` schema.
 
 pub mod ablations;
 pub mod chaos;
@@ -10,7 +11,6 @@ pub mod fig7;
 pub mod fig8_10;
 pub mod restore;
 pub mod scale;
-pub mod serve;
 pub mod sketch;
 pub mod table1;
 pub mod throughput;

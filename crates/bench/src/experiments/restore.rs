@@ -17,56 +17,42 @@
 //! `EXPERIMENTS.md`) so successive commits can track restore latency and
 //! checkpoint sizes.
 
+use super::throughput::workload;
 use crate::checks::ensure;
-use crate::driver::{run_tracker_checkpointed, run_tracker_from, PreparedStream};
-use crate::report::{f, print_table};
+use crate::driver::{run_tracker_checkpointed, run_tracker_from};
+use crate::report::{f, in_scratch_dir, obj, print_table, write_bench, Json};
 use crate::scale::Scale;
-use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
-use tdn_core::{HistApprox, InfluenceTracker, TrackerConfig};
+use tdn_core::{HistApprox, InfluenceTracker};
 use tdn_persist::load_checkpoint;
-use tdn_streams::Dataset;
-
-const EPS: f64 = 0.3;
-const P: f64 = 0.001;
-const K: usize = 10;
-const L: u32 = 10_000;
-/// Ticks coalesced per arrival batch (the serving-scale arrival shape, as
-/// in the throughput experiment).
-const BATCH_TICKS: usize = 16;
 
 /// Runs the checkpoint/restore experiment and writes `BENCH_restore.json`.
 ///
-/// `checkpoint_every` is the `--checkpoint-every` CLI knob: a checkpoint is
-/// written after every `N` processed steps (default: an eighth of the
-/// stream, so the quick scale still exercises several snapshots).
-pub fn run(out_dir: &Path, scale: &Scale, checkpoint_every: Option<usize>) -> std::io::Result<()> {
-    let stream =
-        PreparedStream::geometric(Dataset::TwitterHiggs, scale.seed, P, L, scale.steps_main)
-            .coalesce(BATCH_TICKS);
-    let cfg = TrackerConfig::new(K, EPS, L);
-    let every = checkpoint_every.unwrap_or_else(|| (stream.len() / 8).max(1));
-    // The driver skips a checkpoint on the final step (nothing left to
-    // resume into), so an interval that never fires mid-stream is a usage
-    // error, reported cleanly rather than via a failed assertion.
-    if every >= stream.len() {
-        return Err(std::io::Error::other(format!(
-            "--checkpoint-every {every} never fires: the prepared stream has only {} steps \
-             (choose a value below that)",
-            stream.len()
-        )));
-    }
-    let ckpt_dir = out_dir.join("checkpoints");
+/// A checkpoint is written after every eighth of the stream, so the
+/// quick scale still exercises several snapshots. They land in the
+/// scratch directory `<out>/checkpoints/`, which is removed once the run
+/// succeeds.
+pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
+    in_scratch_dir(&out_dir.join("checkpoints"), |ckpt_dir| {
+        run_in(ckpt_dir, out_dir, scale)
+    })
+}
+
+fn run_in(ckpt_dir: &Path, out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
+    let (stream, cfg, workload) = workload(scale);
+    let every = (stream.len() / 8).max(1);
 
     // Uninterrupted run, checkpointing as it goes.
     let mut live = HistApprox::new(&cfg);
     let (full_log, checkpoints) =
-        run_tracker_checkpointed(&mut live, &stream, &cfg, every, &ckpt_dir)
+        run_tracker_checkpointed(&mut live, &stream, &cfg, every, ckpt_dir)
             .map_err(|e| std::io::Error::other(format!("checkpointing failed: {e}")))?;
 
     // Warm restart from the last checkpoint; replay the tail.
-    let last = checkpoints.last().expect("non-empty");
+    let last = checkpoints
+        .last()
+        .expect("an eighth-of-the-stream interval fires before the last step");
     let load_start = Instant::now();
     let (step, mut warm): (u64, HistApprox) = load_checkpoint(&last.path, &cfg)
         .map_err(|e| std::io::Error::other(format!("restore failed: {e}")))?;
@@ -99,46 +85,6 @@ pub fn run(out_dir: &Path, scale: &Scale, checkpoint_every: Option<usize>) -> st
         f64::INFINITY
     };
 
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_restore.json");
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"experiment\": \"checkpoint_restore\",")?;
-    writeln!(out, "  \"tracker\": \"HistApprox\",")?;
-    writeln!(
-        out,
-        "  \"workload\": {{\"dataset\": \"{}\", \"steps\": {}, \"edges\": {}, \
-         \"k\": {K}, \"eps\": {EPS}, \"max_lifetime\": {L}, \"geo_p\": {P}, \"seed\": {}}},",
-        Dataset::TwitterHiggs.slug(),
-        stream.len(),
-        stream.edges,
-        scale.seed,
-    )?;
-    writeln!(out, "  \"checkpoint_every\": {every},")?;
-    writeln!(out, "  \"checkpoints\": [")?;
-    for (i, c) in checkpoints.iter().enumerate() {
-        let sep = if i + 1 < checkpoints.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"step\": {}, \"bytes\": {}, \"save_ms\": {}}}{sep}",
-            c.step,
-            c.bytes,
-            f(c.save_secs * 1e3),
-        )?;
-    }
-    writeln!(out, "  ],")?;
-    writeln!(out, "  \"restore\": {{")?;
-    writeln!(out, "    \"step\": {},", last.step)?;
-    writeln!(out, "    \"checkpoint_bytes\": {},", last.bytes)?;
-    writeln!(out, "    \"load_ms\": {},", f(load_secs * 1e3))?;
-    writeln!(out, "    \"replay_secs\": {},", f(replay_secs))?;
-    writeln!(out, "    \"speedup_vs_replay\": {},", f(speedup))?;
-    writeln!(out, "    \"tail_steps\": {}", warm_log.values.len())?;
-    writeln!(out, "  }},")?;
-    writeln!(out, "  \"deterministic\": {deterministic}")?;
-    writeln!(out, "}}")?;
-    out.flush()?;
-
     let rows: Vec<Vec<String>> = checkpoints
         .iter()
         .map(|c| {
@@ -161,6 +107,21 @@ pub fn run(out_dir: &Path, scale: &Scale, checkpoint_every: Option<usize>) -> st
         replay_secs,
         speedup,
     );
-    println!("wrote {}", path.display());
-    Ok(())
+    let saves: Vec<Json> = checkpoints
+        .iter()
+        .map(|c| {
+            obj! {"step": c.step, "bytes": c.bytes, "save_ms": c.save_secs * 1e3}
+        })
+        .collect();
+    let fields = obj! {
+        "tracker": "HistApprox",
+        "workload": workload,
+        "checkpoint_every": every,
+        "checkpoints": saves,
+        "restore": obj! {"step": last.step, "checkpoint_bytes": last.bytes,
+            "load_ms": load_secs * 1e3, "replay_secs": replay_secs,
+            "speedup_vs_replay": speedup, "tail_steps": warm_log.values.len()},
+        "deterministic": deterministic,
+    };
+    write_bench(out_dir, "restore", scale, fields)
 }

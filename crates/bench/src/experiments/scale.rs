@@ -29,9 +29,8 @@
 //! EXPERIMENTS.md).
 
 use crate::checks::ensure;
-use crate::report::{f, print_table};
+use crate::report::{in_scratch_dir, obj, print_table, write_bench, Json};
 use crate::scale::Scale;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tdn_core::{InfluenceTracker, SieveAdnTracker, Solution, TrackerConfig};
@@ -128,8 +127,15 @@ fn persist_err(e: tdn_persist::PersistError) -> std::io::Error {
 }
 
 /// Runs the scale experiment, asserts the three acceptance criteria, and
-/// writes `BENCH_scale.json`.
+/// writes `BENCH_scale.json`. The chain lives in the scratch directory
+/// `<out>/scale_chain/`, which is removed once the run succeeds.
 pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
+    in_scratch_dir(&out_dir.join("scale_chain"), |chain_dir| {
+        run_in(chain_dir, out_dir, scale)
+    })
+}
+
+fn run_in(chain_dir: &Path, out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
     let steps = scale.steps_persist;
     ensure(steps >= 8, "scale experiment needs at least 8 steps")?;
     let stream = community_stream(steps);
@@ -142,15 +148,10 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
     let save_start = steps / 4;
     let cut = steps * 3 / 4;
 
-    let chain_dir = out_dir.join("scale_chain");
-    if chain_dir.exists() {
-        std::fs::remove_dir_all(&chain_dir)?;
-    }
-    std::fs::create_dir_all(&chain_dir)?;
     // Compaction is disabled on purpose: the experiment measures a pure
     // base + delta-chain, so a forced re-base mid-run would contaminate
     // both the ratio and the restore-latency curve.
-    let mut chain = CheckpointChain::new(&chain_dir, "scale").with_policy(CompactionPolicy {
+    let mut chain = CheckpointChain::new(chain_dir, "scale").with_policy(CompactionPolicy {
         max_chain_len: usize::MAX,
         max_delta_ratio: f64::INFINITY,
     });
@@ -275,72 +276,6 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
         "budgeted run finished under the ceiling without shedding — ceiling not binding",
     )?;
 
-    // Machine-readable record.
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_scale.json");
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"experiment\": \"scale_persistence\",")?;
-    writeln!(out, "  \"tracker\": \"SieveADN\",")?;
-    writeln!(
-        out,
-        "  \"workload\": {{\"steps\": {steps}, \"edges\": {edges}, \"nodes\": {}, \
-         \"window\": {WINDOW}, \"group\": {GROUP}, \"out_deg\": {OUT_DEG}, \
-         \"k\": {K}, \"eps\": {EPS}}},",
-        steps as usize * WINDOW,
-    )?;
-    writeln!(out, "  \"snapshots\": [")?;
-    for (i, sp) in saves.iter().enumerate() {
-        let sep = if i + 1 < saves.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"step\": {}, \"kind\": \"{:?}\", \"bytes\": {}, \"full_bytes\": {}, \
-             \"ratio\": {}, \"fresh_sections\": {}, \"ref_sections\": {}, \"save_ms\": {}}}{sep}",
-            sp.step,
-            sp.kind,
-            sp.bytes,
-            sp.full_bytes,
-            f(sp.ratio()),
-            sp.fresh_sections,
-            sp.ref_sections,
-            f(sp.save_ms),
-        )?;
-    }
-    writeln!(out, "  ],")?;
-    writeln!(out, "  \"max_delta_ratio\": {},", f(max_ratio))?;
-    writeln!(out, "  \"mean_delta_ratio\": {},", f(mean_ratio))?;
-    writeln!(out, "  \"restores\": [")?;
-    for (i, (chain_len, step, load_ms)) in restores.iter().enumerate() {
-        let sep = if i + 1 < restores.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"chain_len\": {chain_len}, \"step\": {step}, \"load_ms\": {}}}{sep}",
-            f(*load_ms),
-        )?;
-    }
-    writeln!(out, "  ],")?;
-    writeln!(out, "  \"bit_identical\": true,")?;
-    writeln!(
-        out,
-        "  \"restore_threads\": [{}],",
-        RESTORE_THREADS.map(|t| t.to_string()).join(", ")
-    )?;
-    writeln!(out, "  \"budget\": {{")?;
-    writeln!(out, "    \"control_peak_bytes\": {control_peak},")?;
-    writeln!(out, "    \"floor_peak_bytes\": {floor_peak},")?;
-    writeln!(out, "    \"ceiling_bytes\": {ceiling},")?;
-    writeln!(out, "    \"constrained_peak_bytes\": {constrained_peak},")?;
-    writeln!(out, "    \"within_ceiling\": true,")?;
-    writeln!(out, "    \"control_exceeds\": true,")?;
-    writeln!(
-        out,
-        "    \"sheds\": {{\"memo\": {}, \"arena\": {}, \"fallback\": {}}}",
-        constrained_stats.shed_memo, constrained_stats.shed_arena, constrained_stats.shed_fallback,
-    )?;
-    writeln!(out, "  }}")?;
-    writeln!(out, "}}")?;
-    out.flush()?;
-
     // Human-readable summaries.
     let rows: Vec<Vec<String>> = saves
         .iter()
@@ -390,8 +325,41 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
          arena {}, fallback {})",
         constrained_stats.shed_memo, constrained_stats.shed_arena, constrained_stats.shed_fallback,
     );
-    println!("wrote {}", path.display());
-    Ok(())
+    let snapshots: Vec<Json> = saves
+        .iter()
+        .map(|sp| {
+            obj! {
+                "step": sp.step, "kind": format!("{:?}", sp.kind), "bytes": sp.bytes,
+                "full_bytes": sp.full_bytes, "ratio": sp.ratio(),
+                "fresh_sections": sp.fresh_sections, "ref_sections": sp.ref_sections,
+                "save_ms": sp.save_ms,
+            }
+        })
+        .collect();
+    let restore_rows: Vec<Json> = restores
+        .iter()
+        .map(|&(chain_len, step, load_ms)| {
+            obj! {"chain_len": chain_len, "step": step, "load_ms": load_ms}
+        })
+        .collect();
+    let fields = obj! {
+        "tracker": "SieveADN",
+        "workload": obj! {"steps": steps, "edges": edges, "nodes": steps as usize * WINDOW,
+            "window": WINDOW, "group": GROUP, "out_deg": OUT_DEG, "k": K, "eps": EPS},
+        "snapshots": snapshots,
+        "max_delta_ratio": max_ratio,
+        "mean_delta_ratio": mean_ratio,
+        "restores": restore_rows,
+        "bit_identical": true,
+        "restore_threads": RESTORE_THREADS.map(Json::from).to_vec(),
+        "budget": obj! {"control_peak_bytes": control_peak, "floor_peak_bytes": floor_peak,
+            "ceiling_bytes": ceiling, "constrained_peak_bytes": constrained_peak,
+            "within_ceiling": true, "control_exceeds": true,
+            "sheds": obj! {"memo": constrained_stats.shed_memo,
+                "arena": constrained_stats.shed_arena,
+                "fallback": constrained_stats.shed_fallback}},
+    };
+    write_bench(out_dir, "scale", scale, fields)
 }
 
 #[cfg(test)]

@@ -24,9 +24,8 @@
 
 use crate::checks::ensure;
 use crate::driver::PreparedStream;
-use crate::report::f;
+use crate::report::{obj, write_bench};
 use crate::scale::Scale;
-use std::io::Write;
 use std::path::Path;
 use tdn_core::{HistApprox, InfluenceTracker, SieveAdn, SpreadMode, TrackerConfig};
 use tdn_graph::{reach_count, ReachScratch, SketchParams, SketchPool, TdnGraph};
@@ -237,50 +236,6 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
         ),
     )?;
 
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_sketch.json");
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"experiment\": \"sketch_conformance\",")?;
-    writeln!(
-        out,
-        "  \"params\": {{\"eps\": {EPS}, \"delta\": {DELTA}, \"pool_size\": {}, \"seed\": {SKETCH_SEED}}},",
-        params.pool_size(),
-    )?;
-    writeln!(
-        out,
-        "  \"workload\": {{\"dataset\": \"{}\", \"steps\": {}, \"edges\": {}, \
-         \"k\": {K}, \"sieve_eps\": {SIEVE_EPS}, \"max_lifetime\": {L}, \"geo_p\": {P}, \"seed\": {}}},",
-        Dataset::Brightkite.slug(),
-        stream.len(),
-        stream.edges,
-        scale.seed,
-    )?;
-    writeln!(out, "  \"adn\": {{")?;
-    writeln!(out, "    \"tracker\": \"HistApprox\",")?;
-    writeln!(out, "    \"checked\": {},", env_1.checked)?;
-    writeln!(out, "    \"violations\": {},", env_1.violations)?;
-    writeln!(out, "    \"budget\": {budget},")?;
-    writeln!(out, "    \"worst_rel_err\": {},", f(env_1.worst_rel))?;
-    writeln!(out, "    \"mean_rel_err\": {},", f(env_1.mean_rel()))?;
-    writeln!(out, "    \"coverage_ratio_mean\": {},", f(cov_mean))?;
-    writeln!(out, "    \"coverage_ratio_min\": {},", f(cov_min))?;
-    writeln!(out, "    \"scored_steps\": {}", ratios.len())?;
-    writeln!(out, "  }},")?;
-    writeln!(out, "  \"tdn_decay\": {{")?;
-    writeln!(out, "    \"checked\": {},", decay_env.checked)?;
-    writeln!(out, "    \"violations\": {},", decay_env.violations)?;
-    writeln!(out, "    \"budget\": {decay_budget},")?;
-    writeln!(out, "    \"worst_rel_err\": {},", f(decay_env.worst_rel))?;
-    writeln!(out, "    \"mean_rel_err\": {},", f(decay_env.mean_rel()))?;
-    writeln!(out, "    \"expired_edges\": {expired},")?;
-    writeln!(out, "    \"final_universe\": {universe_final}")?;
-    writeln!(out, "  }},")?;
-    writeln!(out, "  \"within_envelope\": true,")?;
-    writeln!(out, "  \"deterministic\": {deterministic}")?;
-    writeln!(out, "}}")?;
-    out.flush()?;
-
     println!(
         "sketch envelope (ADN): {}/{} audits outside eps*n (budget {}), worst rel err {:.4}, \
          mean coverage {:.3}",
@@ -290,6 +245,22 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
         "sketch envelope (TDN decay): {}/{} audits outside eps*n (budget {}), {} edges expired",
         decay_env.violations, decay_env.checked, decay_budget, expired,
     );
-    println!("wrote {}", path.display());
-    Ok(())
+    let fields = obj! {
+        "params": obj! {"eps": EPS, "delta": DELTA, "pool_size": params.pool_size(),
+            "seed": SKETCH_SEED},
+        "workload": obj! {"dataset": Dataset::Brightkite.slug(), "steps": stream.len(),
+            "edges": stream.edges, "k": K, "sieve_eps": SIEVE_EPS, "max_lifetime": L,
+            "geo_p": P},
+        "adn": obj! {"tracker": "HistApprox", "checked": env_1.checked,
+            "violations": env_1.violations, "budget": budget, "worst_rel_err": env_1.worst_rel,
+            "mean_rel_err": env_1.mean_rel(), "coverage_ratio_mean": cov_mean,
+            "coverage_ratio_min": cov_min, "scored_steps": ratios.len()},
+        "tdn_decay": obj! {"checked": decay_env.checked, "violations": decay_env.violations,
+            "budget": decay_budget, "worst_rel_err": decay_env.worst_rel,
+            "mean_rel_err": decay_env.mean_rel(), "expired_edges": expired,
+            "final_universe": universe_final},
+        "within_envelope": true,
+        "deterministic": deterministic,
+    };
+    write_bench(out_dir, "sketch", scale, fields)
 }

@@ -2,19 +2,21 @@
 //! (edges/sec) versus execution-engine thread count on one fixed workload.
 //!
 //! This is the perf-trajectory anchor for the parallel execution engine:
-//! every run replays the *identical* prepared stream at each thread count,
-//! asserts the determinism invariant (bit-identical per-step values and
-//! oracle-call tallies), and emits machine-readable
+//! every run replays the *identical* prepared stream at each thread count
+//! ([`REPS`] interleaved rounds through [`repeat`]), asserts the
+//! determinism invariant (bit-identical per-step values and oracle-call
+//! tallies in every run), and emits machine-readable
 //! `BENCH_throughput.json` next to the CSVs so successive commits can be
 //! compared. Speedup is physically bounded by the host's core count — on a
 //! single-core container every setting clusters around 1×, which the JSON
-//! records honestly via `available_parallelism`.
+//! records honestly via `host_cores`.
 
 use crate::checks::ensure;
-use crate::driver::{run_tracker, PreparedStream, RunLog};
-use crate::report::{f, latency_cells_ms, print_table};
+use crate::driver::{run_tracker, PreparedStream};
+use crate::report::{
+    f, host_cores, latency_cells_ms, obj, percentile, print_table, repeat, write_bench, Json, REPS,
+};
 use crate::scale::Scale;
-use std::io::Write;
 use std::path::Path;
 use tdn_core::{HistApprox, TrackerConfig};
 use tdn_streams::Dataset;
@@ -27,6 +29,17 @@ const L: u32 = 10_000;
 /// interactions per tick, while the parallel phases feed on batch-sized
 /// independent work — batched arrival is the serving-scale shape.
 const BATCH_TICKS: usize = 16;
+
+/// The HISTAPPROX stream and tracker config this target times and
+/// `restore` checkpoints, plus the stream's `workload` record.
+pub(crate) fn workload(scale: &Scale) -> (PreparedStream, TrackerConfig, Json) {
+    let stream =
+        PreparedStream::geometric(Dataset::TwitterHiggs, scale.seed, P, L, scale.steps_main)
+            .coalesce(BATCH_TICKS);
+    let record = obj! {"dataset": Dataset::TwitterHiggs.slug(), "steps": stream.len(),
+    "edges": stream.edges, "k": K, "eps": EPS, "max_lifetime": L, "geo_p": P};
+    (stream, TrackerConfig::new(K, EPS, L), record)
+}
 
 /// Thread counts swept (1 must come first: it is the speedup baseline).
 pub const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -62,75 +75,36 @@ pub fn speedup_gate(cores: usize, force: bool) -> SpeedupGate {
     }
 }
 
-/// One thread-count measurement.
-pub struct ScalingPoint {
-    /// Engine thread count for this run.
-    pub threads: usize,
-    /// The full run log (throughput, latency distribution, calls).
-    pub log: RunLog,
-}
-
-/// Runs the sweep: same stream, fresh tracker per thread count.
-pub fn sweep(scale: &Scale) -> Vec<ScalingPoint> {
-    let stream =
-        PreparedStream::geometric(Dataset::TwitterHiggs, scale.seed, P, L, scale.steps_main)
-            .coalesce(BATCH_TICKS);
-    // Discarded warm-up run: the first measured run must not absorb the
-    // one-time page-fault/allocator costs, or the serial baseline looks
-    // artificially slow and "speedup" appears even on one core.
-    exec::with_threads(1, || {
-        let mut tracker = HistApprox::new(&TrackerConfig::new(K, EPS, L));
-        run_tracker(&mut tracker, &stream)
-    });
-    THREAD_COUNTS
-        .iter()
-        .map(|&threads| {
-            let cfg = TrackerConfig::new(K, EPS, L);
-            let log = exec::with_threads(threads, || {
-                let mut tracker = HistApprox::new(&cfg);
-                run_tracker(&mut tracker, &stream)
-            });
-            ScalingPoint { threads, log }
-        })
-        .collect()
-}
-
-/// Escapes nothing (all emitted strings are identifiers) but keeps JSON
-/// assembly in one place: one `{...}` object per scaling point.
-fn json_point(p: &ScalingPoint) -> String {
-    format!(
-        "    {{\"threads\": {}, \"edges_per_sec\": {}, \"wall_secs\": {}, \
-         \"p50_step_ms\": {}, \"p99_step_ms\": {}, \"oracle_calls\": {}, \"mean_value\": {}}}",
-        p.threads,
-        f(p.log.throughput()),
-        f(p.log.wall_secs),
-        f(p.log.step_latency_secs(0.5) * 1e3),
-        f(p.log.step_latency_secs(0.99) * 1e3),
-        p.log.total_calls(),
-        f(p.log.mean_value()),
-    )
-}
-
 /// Runs the scaling sweep, checks determinism, writes
 /// `BENCH_throughput.json`, and prints the summary table.
 pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
-    let points = sweep(scale);
-    let base = &points[0];
+    let (stream, cfg, workload) = workload(scale);
+    let arms = repeat(&THREAD_COUNTS, |&threads| {
+        exec::with_threads(threads, || {
+            let mut tracker = HistApprox::new(&cfg);
+            run_tracker(&mut tracker, &stream)
+        })
+    });
+    let base = &arms[0].outs[0];
     // The determinism invariant is part of the experiment: a speedup that
     // changes answers would be measuring a different algorithm.
-    let deterministic = points
+    let deterministic = arms
         .iter()
-        .all(|p| p.log.values == base.log.values && p.log.total_calls() == base.log.total_calls());
+        .flat_map(|arm| &arm.outs)
+        .all(|log| log.values == base.values && log.total_calls() == base.total_calls());
     ensure(
         deterministic,
         "parallel HISTAPPROX diverged from the serial run",
     )?;
-    let base_tp = base.log.throughput();
-    let best_speedup = points
+    let edges_per_sec: Vec<f64> = arms
         .iter()
-        .map(|p| p.log.throughput() / base_tp)
+        .map(|arm| stream.edges as f64 / arm.spread().median_s.max(1e-9))
+        .collect();
+    let best_speedup = edges_per_sec
+        .iter()
+        .map(|tp| tp / edges_per_sec[0])
         .fold(f64::NAN, f64::max);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = host_cores();
     // Enforce the scaling half of the acceptance criterion wherever it is
     // physically satisfiable: a host with >= 4 cores must show >= 1.5x at
     // the best thread count, or parallel scaling has regressed. Smaller
@@ -157,53 +131,32 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
         }
     };
 
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join("BENCH_throughput.json");
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"experiment\": \"throughput_scaling\",")?;
-    writeln!(out, "  \"tracker\": \"HistApprox\",")?;
-    writeln!(
-        out,
-        "  \"workload\": {{\"dataset\": \"{}\", \"steps\": {}, \"edges\": {}, \
-         \"k\": {K}, \"eps\": {EPS}, \"max_lifetime\": {L}, \"geo_p\": {P}, \"seed\": {}}},",
-        Dataset::TwitterHiggs.slug(),
-        base.log.values.len(),
-        base.log.edges,
-        scale.seed,
-    )?;
-    writeln!(out, "  \"host_cores\": {cores},")?;
-    writeln!(out, "  \"deterministic\": {deterministic},")?;
-    writeln!(out, "  \"best_speedup\": {},", f(best_speedup))?;
-    match &skipped_reason {
-        Some(reason) => writeln!(out, "  \"skipped_reason\": \"{reason}\",")?,
-        None => writeln!(out, "  \"skipped_reason\": null,")?,
+    // One row per thread count; step latencies pool every repetition.
+    let (mut runs, mut rows) = (Vec::new(), Vec::new());
+    for ((&threads, arm), &tp) in THREAD_COUNTS.iter().zip(&arms).zip(&edges_per_sec) {
+        let steps: Vec<f64> = arm.outs.iter().flat_map(|l| l.step_secs.clone()).collect();
+        let run = obj! {
+            "threads": threads, "edges_per_sec": tp, "wall": arm.spread(),
+            "p50_step_ms": percentile(&steps, 0.5) * 1e3,
+            "p99_step_ms": percentile(&steps, 0.99) * 1e3,
+            "oracle_calls": base.total_calls(), "mean_value": base.mean_value(),
+        };
+        runs.push(run);
+        let [p50, p99] = latency_cells_ms(&steps);
+        rows.push(vec![
+            threads.to_string(),
+            format!("{tp:.0}"),
+            f(tp / edges_per_sec[0]),
+            p50,
+            p99,
+            base.total_calls().to_string(),
+        ]);
     }
-    writeln!(out, "  \"runs\": [")?;
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i + 1 < points.len() { "," } else { "" };
-        writeln!(out, "{}{sep}", json_point(p))?;
-    }
-    writeln!(out, "  ]")?;
-    writeln!(out, "}}")?;
-    out.flush()?;
-
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            let [p50, p99] = latency_cells_ms(&p.log.step_secs);
-            vec![
-                p.threads.to_string(),
-                format!("{:.0}", p.log.throughput()),
-                f(p.log.throughput() / base_tp),
-                p50,
-                p99,
-                p.log.total_calls().to_string(),
-            ]
-        })
-        .collect();
     print_table(
-        &format!("Throughput scaling on {cores}-core host (HISTAPPROX, identical answers)"),
+        &format!(
+            "Throughput scaling on {cores}-core host (HISTAPPROX, median of {REPS}, \
+             identical answers)"
+        ),
         &[
             "threads",
             "edges/s",
@@ -214,8 +167,16 @@ pub fn run(out_dir: &Path, scale: &Scale) -> std::io::Result<()> {
         ],
         &rows,
     );
-    println!("wrote {}", path.display());
-    Ok(())
+    let fields = obj! {
+        "tracker": "HistApprox",
+        "workload": workload,
+        "reps": REPS,
+        "deterministic": deterministic,
+        "best_speedup": best_speedup,
+        "skipped_reason": skipped_reason,
+        "runs": runs,
+    };
+    write_bench(out_dir, "throughput", scale, fields)
 }
 
 #[cfg(test)]

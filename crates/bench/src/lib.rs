@@ -15,13 +15,18 @@
 //! | `experiments throughput` | edges/sec vs `TDN_THREADS` (`BENCH_throughput.json`) |
 //! | `experiments restore` | checkpoint/warm-restart cost vs full replay (`BENCH_restore.json`) |
 //! | `experiments engine` | incremental vs full spread maintenance, lane-batching identity grid (`BENCH_engine.json`) |
+//! | `experiments scale` | delta-checkpoint chains and the memory budget (`BENCH_scale.json`) |
+//! | `experiments sketch` | RR-sketch spread estimator vs the exact oracle (`BENCH_sketch.json`) |
+//! | `experiments chaos` | seeded fault storms against the serving layer (`BENCH_chaos.json`) |
 //!
 //! Run `cargo run --release -p tdn-bench --bin experiments -- all --full`
 //! for paper-scale sweeps; the default `--quick` scale finishes in minutes.
 //!
-//! In-experiment invariants (determinism across thread counts, spread-mode
-//! bit-identity, warm-restart equality) fail the binary with a non-zero
-//! exit status — see [`checks`].
+//! Every `BENCH_*.json` goes through one writer ([`report::write_bench`])
+//! and every timed comparison through one repetition runner
+//! ([`report::repeat`]). In-experiment invariants (determinism across
+//! thread counts, spread-mode bit-identity, warm-restart equality) fail
+//! the binary with a non-zero exit status — see [`checks`].
 
 #![warn(missing_docs)]
 

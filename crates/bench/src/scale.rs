@@ -32,15 +32,6 @@ pub struct Scale {
     pub max_rr: usize,
     /// DIM's sketch parameter β (§V-C uses 32).
     pub dim_beta: usize,
-    /// Tenants hosted by the `serve` experiment.
-    pub serve_tenants: u32,
-    /// Firehose ticks for the `serve` experiment.
-    pub serve_ticks: u64,
-    /// Mean batch size of the busiest `serve` tenant (tail Zipf-decays).
-    pub serve_events_per_tick: u32,
-    /// Floor on total `serve` firehose events (the run fails below it, so
-    /// the load test cannot shrink into vacuity; ≥ 1M at full scale).
-    pub serve_min_events: u64,
     /// Tenants hosted by the `chaos` fault-injection experiment.
     pub chaos_tenants: u32,
     /// Firehose ticks for the `chaos` experiment.
@@ -70,10 +61,6 @@ impl Scale {
             l_values_ris: vec![10_000, 20_000, 30_000, 40_000, 50_000],
             max_rr: 10_000,
             dim_beta: 32,
-            serve_tenants: 600,
-            serve_ticks: 4_000,
-            serve_events_per_tick: 28,
-            serve_min_events: 1_000_000,
             chaos_tenants: 96,
             chaos_ticks: 600,
             chaos_events_per_tick: 10,
@@ -97,10 +84,6 @@ impl Scale {
             l_values_ris: vec![10_000, 30_000, 50_000],
             max_rr: 2_000,
             dim_beta: 32,
-            serve_tenants: 40,
-            serve_ticks: 120,
-            serve_events_per_tick: 8,
-            serve_min_events: 1_000,
             chaos_tenants: 24,
             chaos_ticks: 160,
             chaos_events_per_tick: 6,
@@ -122,15 +105,10 @@ mod tests {
         assert!(q.steps_persist < f.steps_persist);
         assert!(q.p_values.len() <= f.p_values.len());
         assert!(q.max_rr < f.max_rr);
-        assert!(q.serve_min_events < f.serve_min_events);
         assert!(q.chaos_min_faults < f.chaos_min_faults);
         assert!(
             q.chaos_min_faults >= 200,
             "quick chaos storm still injects >= 200 faults"
-        );
-        assert!(
-            f.serve_min_events >= 1_000_000,
-            "full serve run is >= 1M events"
         );
         assert_eq!(q.dim_beta, 32, "quick keeps the paper's beta");
     }

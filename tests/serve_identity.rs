@@ -157,57 +157,85 @@ fn hist_approx_served_equals_direct() {
     identity_grid::<HistApprox>("HISTAPPROX");
 }
 
-/// Shard migration: recovering with a *different* shard count (tenants
-/// land on different workers) must still replay to identical state.
-/// Under `TDN_FAULT_SEED` the victim's checkpoints are written through
-/// the retryable-fault storm — torn tmp debris and missing links are
-/// exactly what the tolerant recovery path must absorb.
+/// Shard migration: a 4-shard victim crashes and recovers onto 1 shard
+/// (tenants land on different workers), then replays the whole stream;
+/// it must land on the uninterrupted run's state, for every family.
+/// Each family crashes twice: right after `checkpoint_all`, and
+/// mid-cadence with per-tick flushes, so tenants lose the tail after
+/// their last cadence save and replay must re-step it. Under
+/// `TDN_FAULT_SEED` the victim's checkpoints are written through the
+/// retryable-fault storm — torn tmp debris and missing links are exactly
+/// what the tolerant recovery path must absorb.
 #[test]
 fn recovery_across_shard_counts_is_identical() {
-    let dir = std::env::temp_dir().join("tdn_serve_identity_migrate");
-    let _ = std::fs::remove_dir_all(&dir);
-    let reference = serve_fingerprints::<HistApprox>(4, 1, "MIGRATE_REF");
+    recover_across_shard_counts::<SieveAdnTracker>("SIEVEADN");
+    recover_across_shard_counts::<BasicReduction>("BASICREDUCTION");
+    recover_across_shard_counts::<HistApprox>("HISTAPPROX");
+}
 
+fn recover_across_shard_counts<T: TrackerEngine + Persist + Send>(label: &str) {
+    let reference = serve_fingerprints::<T>(4, 1, &format!("MIGRATE_REF_{label}"));
     let all: Vec<_> = workload().interleaved().collect();
     let cut = 2 * all.len() / 3;
-    let (victim_cfg, _) = maybe_faulted(
-        ServeConfig::new(4, cfg()).with_checkpoints(&dir, 5),
-        "MIGRATE_VICTIM",
-    );
-    // Fault-seeded or not, the victim checkpoints into the shared dir.
-    let victim_cfg = victim_cfg.with_checkpoints(&dir, 5);
-    exec::with_threads(4, || {
-        let mut victim: Server<HistApprox> = Server::new(victim_cfg.clone()).expect("config");
-        for b in &all[..cut] {
-            victim
-                .submit_batch(b.tenant as TenantId, b.t, b.edges.clone())
-                .expect("submit");
-        }
-        victim.flush().expect("flush");
-        let summary = victim.checkpoint_all().expect("checkpoint");
-        assert!(summary.saved > 0, "no chains written: {summary:?}");
-        // Crash: the server is dropped with un-checkpointed publications.
-    });
-
-    // Recover onto a single shard (migration) and replay everything.
-    let recover_cfg = ServeConfig::new(1, cfg()).with_checkpoints(&dir, 5);
-    let recovered = exec::with_threads(1, || {
-        let (mut server, rec) =
-            Server::<HistApprox>::recover(recover_cfg).expect("recover from chains");
-        assert!(!server.tenants().is_empty(), "no tenants recovered");
+    for checkpoint_all in [true, false] {
+        let tag = format!("MIGRATE_{label}_{checkpoint_all}");
+        let dir = std::env::temp_dir().join(format!("tdn_serve_identity_{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (victim_cfg, _) = maybe_faulted(ServeConfig::new(4, cfg()), &tag);
+        // Fault-seeded or not, the victim checkpoints into `dir`, on a
+        // cadence that does not divide the 20 ticks before the cut.
+        let victim_cfg = victim_cfg.with_checkpoints(&dir, 7);
+        let (cadence_saves, crashed_at) = exec::with_threads(4, || {
+            let mut victim: Server<T> = Server::new(victim_cfg).expect("config");
+            let mut saves = 0;
+            for (i, b) in all[..cut].iter().enumerate() {
+                victim
+                    .submit_batch(b.tenant as TenantId, b.t, b.edges.clone())
+                    .expect("submit");
+                if all[i + 1].t != b.t {
+                    saves += victim.flush().expect("flush").checkpoints;
+                }
+            }
+            if checkpoint_all {
+                let summary = victim.checkpoint_all().expect("checkpoint");
+                assert!(summary.saved > 0, "{tag}: no chains written: {summary:?}");
+            }
+            // Crash: the server is dropped with un-checkpointed publications.
+            let marks: Vec<_> = victim
+                .tenants()
+                .into_iter()
+                .map(|t| (t, victim.last_t(t)))
+                .collect();
+            (saves, marks)
+        });
         assert!(
-            rec.quarantined.is_empty(),
-            "atomic chain writes must never leave a corrupt link: {rec:?}"
+            cadence_saves > 0,
+            "{tag}: no cadence checkpoint before the crash"
         );
-        for b in &all {
-            server
-                .submit_batch(b.tenant as TenantId, b.t, b.edges.clone())
-                .expect("submit");
-        }
-        let report = server.flush().expect("replay flush");
-        assert!(report.skipped > 0, "replay never hit the idempotence guard");
-        collect(&server)
-    });
-    assert_eq!(recovered, reference, "migrated recovery diverged");
-    let _ = std::fs::remove_dir_all(&dir);
+
+        let recover_cfg = ServeConfig::new(1, cfg()).with_checkpoints(&dir, 7);
+        let recovered = exec::with_threads(1, || {
+            let (mut server, rec) = Server::<T>::recover(recover_cfg).expect("recover");
+            assert!(!server.tenants().is_empty(), "{tag}: no tenants recovered");
+            assert!(
+                rec.quarantined.is_empty(),
+                "{tag}: atomic chain writes must never leave a corrupt link: {rec:?}"
+            );
+            let lost_tail = crashed_at.iter().any(|&(t, last)| server.last_t(t) < last);
+            assert!(lost_tail || checkpoint_all, "{tag}: the crash lost no tail");
+            for b in &all {
+                server
+                    .submit_batch(b.tenant as TenantId, b.t, b.edges.clone())
+                    .expect("submit");
+            }
+            let report = server.flush().expect("replay flush");
+            assert!(
+                report.skipped > 0,
+                "{tag}: replay never hit the idempotence guard"
+            );
+            collect(&server)
+        });
+        assert_eq!(recovered, reference, "{tag}: migrated recovery diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
