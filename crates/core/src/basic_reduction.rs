@@ -10,32 +10,31 @@
 //! with the `(1/2 − ε)` guarantee (Theorem 4).
 //!
 //! After answering, `A_1` dies, everyone shifts left, and a fresh instance
-//! joins at index `L` (Fig. 4(b)) — implemented with a `VecDeque` rotate.
+//! joins at index `L` (Fig. 4(b)). Instances are keyed by the tick they
+//! answer at (`A_i` at `t + i − 1`), so the shift renames nothing: it
+//! drops the first key and appends one past the last.
 
 use crate::config::TrackerConfig;
+use crate::instances::InstanceSet;
 use crate::sieve_adn::{SieveAdn, SpreadMode, TraversalKind};
 use crate::tracker::{InfluenceTracker, Solution};
-use std::collections::VecDeque;
-use tdn_graph::{Lifetime, NodeId, SpreadStats, SpreadStatsSnapshot, Time};
+use tdn_graph::{Lifetime, NodeId, SpreadStatsSnapshot, Time};
 use tdn_streams::TimedEdge;
-use tdn_submodular::OracleCounter;
 
 /// Largest `L` the tracker materializes instances for.
 const MAX_LIFETIME: u64 = 1_000_000;
 
+/// The last tick of an `l`-instance window whose first instance answers
+/// at `t`, capped at `Time::MAX`.
+fn window_end(t: Time, l: Lifetime) -> Time {
+    t.saturating_add(l as Time - 1)
+}
+
 /// The BASICREDUCTION tracker.
 pub struct BasicReduction {
-    cfg: TrackerConfig,
-    /// `instances[i]` is `A_{i+1}`; front answers the current step.
-    instances: VecDeque<SieveAdn>,
-    counter: OracleCounter,
-    /// Spread-maintenance mode applied to every instance (current and
-    /// future — `shift` keeps minting them).
-    mode: SpreadMode,
-    /// Traversal backend applied to every instance, like `mode`.
-    traversal: TraversalKind,
-    /// Incremental-engine tally shared by all instances (like `counter`).
-    spread_stats: SpreadStats,
+    /// `A_1 … A_L`, keyed by the tick each answers at; the first answers
+    /// the current step.
+    set: InstanceSet,
     last_t: Option<Time>,
     /// The last step's answer, kept because the answering instance `A_1`
     /// is destroyed by the post-query shift. Serves the standing-query
@@ -56,70 +55,56 @@ impl BasicReduction {
             "BasicReduction materializes L instances; L = {} is impractical",
             cfg.max_lifetime
         );
-        let counter = OracleCounter::new();
-        let mode = SpreadMode::default();
-        let spread_stats = SpreadStats::new();
-        let instances = (0..cfg.max_lifetime)
-            .map(|_| SieveAdn::from_config_with(cfg, counter.clone(), mode, spread_stats.clone()))
-            .collect();
-        BasicReduction {
-            cfg: cfg.clone(),
-            instances,
-            counter,
-            mode,
-            traversal: TraversalKind::default(),
-            spread_stats,
+        let mut br = BasicReduction {
+            set: InstanceSet::new(cfg),
             last_t: None,
             last_solution: None,
-        }
+        };
+        br.slide_to(0);
+        br
     }
 
     /// Sets the spread-maintenance mode for every current and future
     /// instance (builder form; call before feeding).
     pub fn with_spread_mode(mut self, mode: SpreadMode) -> Self {
-        self.mode = mode;
-        for inst in &mut self.instances {
-            inst.set_spread_mode(mode);
-        }
+        self.set.set_mode(mode);
         self
     }
 
     /// The active spread-maintenance mode.
     pub fn spread_mode(&self) -> SpreadMode {
-        self.mode
+        self.set.mode()
     }
 
     /// Sets the traversal backend for every current and future instance
     /// (builder form).
     pub fn with_traversal(mut self, traversal: TraversalKind) -> Self {
-        self.traversal = traversal;
-        for inst in &mut self.instances {
-            inst.set_traversal(traversal);
-        }
+        self.set.set_traversal(traversal);
         self
     }
 
     /// The active traversal backend.
     pub fn traversal(&self) -> TraversalKind {
-        self.traversal
+        self.set.traversal()
     }
 
     /// Current incremental-engine tallies, aggregated across all
     /// instances the tracker ever ran.
     pub fn spread_stats(&self) -> SpreadStatsSnapshot {
-        self.spread_stats.snapshot()
+        self.set.stats.snapshot()
     }
 
-    /// Number of live SIEVEADN instances (always `L`).
+    /// Number of live SIEVEADN instances: `L`, or fewer once the window
+    /// would reach past `Time::MAX` (no step can answer there).
     pub fn num_instances(&self) -> usize {
-        self.instances.len()
+        self.set.by_deadline.len()
     }
 
     /// Read access to the staggered instances in window order (`A_1`
     /// first — the instance that answers the current step). Conformance
     /// harnesses use this to probe per-instance sketch pools.
     pub fn instances(&self) -> impl Iterator<Item = &SieveAdn> {
-        self.instances.iter()
+        self.set.by_deadline.values()
     }
 
     /// The answer the last [`step`](InfluenceTracker::step) returned, if
@@ -132,33 +117,45 @@ impl BasicReduction {
     /// Approximate heap footprint across all instances (Theorem 5's `L`
     ///-fold state; compare with [`crate::HistApprox::approx_bytes`]).
     pub fn approx_bytes(&self) -> usize {
-        self.instances.iter().map(|i| i.approx_bytes()).sum()
+        self.set.approx_bytes()
     }
 
-    /// The tick window position 0 answers at: the one after the last
-    /// processed tick (0 before the first step). Position `i` answers at
-    /// `base + i`, a name that stays fixed as the window shifts.
-    fn window_base(last_t: Option<Time>) -> Time {
-        last_t.map_or(0, |t| t.wrapping_add(1))
+    /// Slides the window so its first instance answers at `t`: drops the
+    /// instances that answered before `t` and appends fresh ones through
+    /// `t + L − 1` (capped at `Time::MAX`). Every instance a per-tick
+    /// shift would have created inside the slide is fresh, so the state
+    /// equals one shift per tick (Alg. 2 lines 5–7), at `O(min(slide, L))`
+    /// drops and spawns however far the window slides.
+    fn slide_to(&mut self, t: Time) {
+        if let Some(before) = t.checked_sub(1) {
+            self.set.expire_through(before);
+        }
+        let end = window_end(t, self.set.cfg.max_lifetime);
+        let start = match self.set.by_deadline.last_key_value() {
+            Some((&d, _)) if d >= end => return,
+            Some((&d, _)) => d + 1,
+            None => t,
+        };
+        for d in start..=end {
+            let fresh = self.set.spawn();
+            self.set.by_deadline.insert(d, fresh);
+        }
     }
 
     /// Serializes the tracker as named sections:
     ///
     /// - `meta`: config, oracle tally, spread mode, engine tallies, the
     ///   last processed tick, the instance count, and the last answer;
-    /// - `inst.{deadline}.`: all `L` staggered instances
+    /// - `inst.{deadline}.`: the staggered instances
     ///   ([`SieveAdn::write_sections`]), each named by the tick it answers
     ///   at, so an instance whose state did not change since the parent
     ///   save becomes refs however far the window shifted.
     pub fn write_sections(&self, sink: &mut codec::SectionSink) {
         let mut w = codec::Writer::new();
-        self.cfg.write_snapshot(&mut w);
-        w.put_u64(self.counter.get());
-        self.mode.write_snapshot(&mut w);
-        self.spread_stats.snapshot().write_snapshot(&mut w);
+        self.set.write_head(&mut w);
         w.put_bool(self.last_t.is_some());
         w.put_u64(self.last_t.unwrap_or(0));
-        w.put_len(self.instances.len());
+        w.put_len(self.set.by_deadline.len());
         w.put_bool(self.last_solution.is_some());
         if let Some(sol) = &self.last_solution {
             let seeds: Vec<u32> = sol.seeds.iter().map(|s| s.0).collect();
@@ -166,10 +163,7 @@ impl BasicReduction {
             w.put_u64(sol.value);
         }
         sink.put("meta", w.into_vec());
-        let base = Self::window_base(self.last_t);
-        for (i, inst) in self.instances.iter().enumerate() {
-            inst.write_sections(sink, &format!("inst.{}.", base.wrapping_add(i as Time)));
-        }
+        self.set.write_instances(sink);
     }
 
     /// Reconstructs a tracker from the sections [`Self::write_sections`]
@@ -180,16 +174,13 @@ impl BasicReduction {
         let invalid =
             |msg: &'static str| codec::SectionError::Codec(codec::CodecError::Invalid(msg));
         let mut r = map.reader("meta")?;
-        let cfg = TrackerConfig::read_snapshot(&mut r)?;
-        let calls = r.get_u64()?;
-        let mode = SpreadMode::read_snapshot(&mut r)?;
-        let stats_snap = SpreadStatsSnapshot::read_snapshot(&mut r)?;
+        let mut set = InstanceSet::read_head(&mut r)?;
         let has_last = r.get_bool()?;
         let last_t = has_last.then_some(r.get_u64()?);
         let n = r.get_u64()?;
         let last_solution = if r.get_bool()? {
             let seeds: Vec<NodeId> = r.get_u32_run()?.into_iter().map(NodeId).collect();
-            if seeds.len() > cfg.k {
+            if seeds.len() > set.cfg.k {
                 return Err(invalid("BasicReduction last answer exceeds budget k"));
             }
             let value = r.get_u64()?;
@@ -198,36 +189,19 @@ impl BasicReduction {
             None
         };
         r.finish()?;
-        if cfg.max_lifetime as u64 > MAX_LIFETIME {
+        if set.cfg.max_lifetime as u64 > MAX_LIFETIME {
             return Err(invalid("BasicReduction lifetime bound L out of range"));
         }
-        if n != cfg.max_lifetime as u64 {
+        // The window starts at the tick after the last step (0 before the
+        // first).
+        let first = last_t.map_or(0, |t| t.saturating_add(1));
+        let deadlines: Vec<Time> = (first..=window_end(first, set.cfg.max_lifetime)).collect();
+        if n != deadlines.len() as u64 {
             return Err(invalid("BasicReduction instance count differs from L"));
         }
-        let counter = OracleCounter::new();
-        counter.set(calls);
-        let spread_stats = SpreadStats::new();
-        spread_stats.restore(&stats_snap);
-        let base = Self::window_base(last_t);
-        let mut instances = VecDeque::with_capacity(n as usize);
-        for i in 0..n {
-            let prefix = format!("inst.{}.", base.wrapping_add(i));
-            let mut inst = SieveAdn::read_sections(map, &prefix, counter.clone())?;
-            if inst.spread_mode() != mode {
-                return Err(invalid(
-                    "BasicReduction instance spread mode differs from tracker",
-                ));
-            }
-            inst.share_spread_stats(spread_stats.clone());
-            instances.push_back(inst);
-        }
+        set.read_instances(map, &deadlines)?;
         Ok(BasicReduction {
-            cfg,
-            instances,
-            counter,
-            mode,
-            traversal: TraversalKind::default(),
-            spread_stats,
+            set,
             last_t,
             last_solution,
         })
@@ -237,56 +211,7 @@ impl BasicReduction {
     /// trackers come back unbudgeted; see
     /// [`TrackerConfig::memory_budget`]).
     pub fn set_memory_budget(&mut self, budget: Option<usize>) {
-        self.cfg.memory_budget = budget;
-    }
-
-    /// Budget-enforcement ladder, run after every step (see DESIGN.md
-    /// "Memory budget"): escalate through the correctness-preserving
-    /// shedding levels across all `L` instances — (1) drop memo entries,
-    /// (2) return recycled arenas and scratch, (3) fall back to
-    /// [`SpreadMode::FullRecompute`] for current and future instances.
-    /// Each level taken is tallied once in the shared engine stats.
-    fn enforce_budget(&mut self) {
-        let Some(budget) = self.cfg.memory_budget else {
-            return;
-        };
-        if self.approx_bytes() <= budget {
-            return;
-        }
-        for inst in &mut self.instances {
-            inst.release_memo_memory();
-        }
-        self.spread_stats.note_shed(1);
-        if self.approx_bytes() <= budget {
-            return;
-        }
-        for inst in &mut self.instances {
-            inst.release_recycled_memory();
-        }
-        self.spread_stats.note_shed(2);
-        if self.approx_bytes() <= budget {
-            return;
-        }
-        self.mode = SpreadMode::FullRecompute;
-        for inst in &mut self.instances {
-            inst.set_spread_mode(SpreadMode::FullRecompute);
-            inst.release_memo_memory();
-        }
-        self.spread_stats.note_shed(3);
-    }
-
-    /// Advances the instance window by one step: drop `A_1`, append a new
-    /// `A_L` (Alg. 2 lines 5–7).
-    fn shift(&mut self) {
-        self.instances.pop_front();
-        let mut fresh = SieveAdn::from_config_with(
-            &self.cfg,
-            self.counter.clone(),
-            self.mode,
-            self.spread_stats.clone(),
-        );
-        fresh.set_traversal(self.traversal);
-        self.instances.push_back(fresh);
+        self.set.cfg.memory_budget = budget;
     }
 }
 
@@ -296,28 +221,27 @@ impl InfluenceTracker for BasicReduction {
     }
 
     fn step(&mut self, t: Time, batch: &[TimedEdge]) -> Solution {
-        // Catch up on skipped (empty) ticks: each one still shifts the
-        // window, since indices are remaining lifetimes.
         if let Some(last) = self.last_t {
             assert!(t > last, "time must strictly increase per step");
-            for _ in 0..(t - last - 1) {
-                self.shift();
-            }
         }
         self.last_t = Some(t);
-        // Feed: edge with (clamped) lifetime l goes to A_1 … A_l. The L
-        // instances are fully independent SIEVEADN states, so the feeds fan
-        // out across the execution engine's workers; each instance consumes
-        // its filtered batch in arrival order, exactly as the serial loop
-        // did, so results are bit-identical at any thread count. Batch
-        // sizes shrink with the lifetime index, so per-instance cost is
-        // skewed and the stealing scheduler rebalances the tail.
-        let l_max = self.cfg.max_lifetime;
+        // Catch up on skipped (empty) ticks: each one still shifts the
+        // window, since indices are remaining lifetimes.
+        self.slide_to(t);
+        // Feed: edge with (clamped) lifetime l goes to A_1 … A_l, where
+        // A_i answers at t + i − 1. The instances are fully independent
+        // SIEVEADN states, so the feeds fan out across the execution
+        // engine's workers; each instance consumes its filtered batch in
+        // arrival order, exactly as the serial loop did, so results are
+        // bit-identical at any thread count. Batch sizes shrink with the
+        // lifetime index, so per-instance cost is skewed and the stealing
+        // scheduler rebalances the tail.
+        let l_max = self.set.cfg.max_lifetime;
         let mut work: Vec<(Lifetime, &mut SieveAdn)> = self
-            .instances
+            .set
+            .by_deadline
             .iter_mut()
-            .enumerate()
-            .map(|(idx, inst)| ((idx + 1) as Lifetime, inst))
+            .map(|(&d, inst)| ((d - t + 1) as Lifetime, inst))
             .collect();
         exec::par_for_each_mut_steal(&mut work, |(min_l, inst)| {
             let min_l = *min_l;
@@ -328,18 +252,18 @@ impl InfluenceTracker for BasicReduction {
                     .map(|e| (e.src, e.dst)),
             );
         });
-        let sol = self.instances.front().expect("L ≥ 1 instances").query();
+        let sol = self.set.by_deadline[&t].query();
         self.last_solution = Some(sol.clone());
-        self.shift();
+        self.slide_to(t.saturating_add(1));
         // Enforced after the shift so the post-step footprint — including
         // the freshly appended `A_L` — is bounded by the ceiling whenever
         // the irreducible live state fits under it.
-        self.enforce_budget();
+        self.set.enforce_budget(None);
         sol
     }
 
     fn oracle_calls(&self) -> u64 {
-        self.counter.get()
+        self.set.counter.get()
     }
 }
 
@@ -458,6 +382,91 @@ mod tests {
             br.step(t, &[]);
         }
         assert_eq!(br.approx_bytes(), empty);
+    }
+
+    /// Saves `br` as a lone base container of sections.
+    fn sections_of(br: &BasicReduction) -> Vec<u8> {
+        let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
+        br.write_sections(&mut sink);
+        sink.finish().0
+    }
+
+    fn batch_at(t: Time) -> Vec<TimedEdge> {
+        let s = (t % 7) as u32;
+        vec![
+            e(s, s + 1, 1 + (t % 4) as Lifetime),
+            e(9, 10 + s, 3),
+            e(s + 1, 20, 2),
+        ]
+    }
+
+    #[test]
+    fn gaps_longer_than_l_answer_like_a_fresh_tracker() {
+        let mut br = BasicReduction::new(&cfg(2, 4));
+        for t in 0..6 {
+            br.step(t, &batch_at(t));
+        }
+        // Every edge fed before the gap expired during it, so the window
+        // must hold exactly what a tracker starting at the same tick holds.
+        let mut fresh = BasicReduction::new(&cfg(2, 4));
+        for t in [40, 41, 43, 44] {
+            assert_eq!(
+                br.step(t, &batch_at(t)),
+                fresh.step(t, &batch_at(t)),
+                "t={t}"
+            );
+            assert_eq!(br.num_instances(), 4);
+        }
+    }
+
+    #[test]
+    fn first_step_after_tick_zero() {
+        // Only tick differences matter: a stream starting at t = 7 answers
+        // exactly like the same stream starting at t = 0.
+        let mut late = BasicReduction::new(&cfg(2, 3));
+        let mut early = BasicReduction::new(&cfg(2, 3));
+        for dt in [0, 1, 2, 4, 5] {
+            let batch = batch_at(dt);
+            assert_eq!(late.step(7 + dt, &batch), early.step(dt, &batch), "dt={dt}");
+            assert_eq!(late.oracle_calls(), early.oracle_calls());
+        }
+    }
+
+    #[test]
+    fn checkpoint_before_first_step_restores_bit_identically() {
+        let mut live = BasicReduction::new(&cfg(2, 3));
+        let map = codec::SectionMap::from_single(&sections_of(&live)).unwrap();
+        let mut back = BasicReduction::read_sections(&map).expect("restore");
+        for t in [5, 6, 8, 12, 13] {
+            assert_eq!(
+                live.step(t, &batch_at(t)),
+                back.step(t, &batch_at(t)),
+                "t={t}"
+            );
+            assert_eq!(live.oracle_calls(), back.oracle_calls());
+            assert!(sections_of(&live) == sections_of(&back), "t={t}");
+        }
+    }
+
+    #[test]
+    fn huge_gaps_catch_up_promptly() {
+        // Catch-up work is bounded by L, not by the gap: a 2⁴⁰-tick jump
+        // returns at once, and the window runs on up to the last tick.
+        let mut br = BasicReduction::new(&cfg(1, 8));
+        br.step(0, &[e(0, 1, 8), e(0, 2, 8)]);
+        let sol = br.step(1 << 40, &[e(3, 4, 2), e(3, 5, 2), e(3, 6, 2)]);
+        assert_eq!((sol.seeds, sol.value), (vec![NodeId(3)], 4));
+        assert_eq!(br.num_instances(), 8);
+        // Near `Time::MAX` the window shrinks instead of overflowing, and
+        // checkpoints still round-trip.
+        br.step(Time::MAX - 2, &[e(7, 8, 8)]);
+        assert_eq!(br.num_instances(), 2);
+        for t in [Time::MAX - 1, Time::MAX] {
+            assert_eq!(br.step(t, &[]).value, 2, "t={t}");
+            let map = codec::SectionMap::from_single(&sections_of(&br)).unwrap();
+            let back = BasicReduction::read_sections(&map).expect("restore");
+            assert!(sections_of(&back) == sections_of(&br), "t={t}");
+        }
     }
 
     #[test]

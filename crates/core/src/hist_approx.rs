@@ -18,29 +18,21 @@
 //! differ by more than a `(1 − ε)` factor (Definition 4).
 
 use crate::config::TrackerConfig;
+use crate::instances::InstanceSet;
 use crate::sieve_adn::{SieveAdn, SpreadMode, TraversalKind};
 use crate::tracker::{InfluenceTracker, Solution};
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
-use tdn_graph::{Lifetime, SpreadStats, SpreadStatsSnapshot, TdnGraph, Time};
+use tdn_graph::{Lifetime, SpreadStatsSnapshot, TdnGraph, Time};
 use tdn_streams::TimedEdge;
-use tdn_submodular::OracleCounter;
 
 /// The HISTAPPROX tracker.
 pub struct HistApprox {
-    cfg: TrackerConfig,
     /// Live TDN `G_t`, used for instance-creation range feeds.
     graph: TdnGraph,
-    /// Active instances keyed by deadline (`= t + current index`).
-    instances: BTreeMap<Time, SieveAdn>,
-    counter: OracleCounter,
-    /// Spread-maintenance mode applied to every instance (fresh copies
-    /// inherit it via `clone`).
-    mode: SpreadMode,
-    /// Traversal backend applied to every instance, like `mode`.
-    traversal: TraversalKind,
-    /// Incremental-engine tally shared by all instances (like `counter`).
-    spread_stats: SpreadStats,
+    /// The histogram's instances, keyed by deadline (`= t + current
+    /// index`).
+    set: InstanceSet,
     /// Restore the `(1/2 − ε)` guarantee by feeding `A_{x₁}` the edges with
     /// remaining lifetime `< x₁` at query time (§IV final remark).
     refeed: bool,
@@ -51,13 +43,8 @@ impl HistApprox {
     /// Creates the tracker.
     pub fn new(cfg: &TrackerConfig) -> Self {
         HistApprox {
-            cfg: cfg.clone(),
             graph: TdnGraph::new(),
-            instances: BTreeMap::new(),
-            counter: OracleCounter::new(),
-            mode: SpreadMode::default(),
-            traversal: TraversalKind::default(),
-            spread_stats: SpreadStats::new(),
+            set: InstanceSet::new(cfg),
             refeed: false,
             last_t: None,
         }
@@ -73,48 +60,43 @@ impl HistApprox {
     /// Sets the spread-maintenance mode for every current and future
     /// instance (builder form; call before feeding).
     pub fn with_spread_mode(mut self, mode: SpreadMode) -> Self {
-        self.mode = mode;
-        for inst in self.instances.values_mut() {
-            inst.set_spread_mode(mode);
-        }
+        self.set.set_mode(mode);
         self
     }
 
     /// The active spread-maintenance mode.
     pub fn spread_mode(&self) -> SpreadMode {
-        self.mode
+        self.set.mode()
     }
 
     /// Sets the traversal backend for every current and future instance
     /// (builder form).
     pub fn with_traversal(mut self, traversal: TraversalKind) -> Self {
-        self.traversal = traversal;
-        for inst in self.instances.values_mut() {
-            inst.set_traversal(traversal);
-        }
+        self.set.set_traversal(traversal);
         self
     }
 
     /// The active traversal backend.
     pub fn traversal(&self) -> TraversalKind {
-        self.traversal
+        self.set.traversal()
     }
 
     /// Current incremental-engine tallies, aggregated across all
     /// instances the tracker ever ran.
     pub fn spread_stats(&self) -> SpreadStatsSnapshot {
-        self.spread_stats.snapshot()
+        self.set.stats.snapshot()
     }
 
     /// Number of live SIEVEADN instances (`|x_t|`).
     pub fn num_instances(&self) -> usize {
-        self.instances.len()
+        self.set.by_deadline.len()
     }
 
     /// Histogram indices `x_t` (ascending remaining lifetimes).
     pub fn indices(&self) -> Vec<Lifetime> {
         let t = self.graph.now();
-        self.instances
+        self.set
+            .by_deadline
             .keys()
             .map(|&d| (d - t) as Lifetime)
             .collect()
@@ -129,14 +111,13 @@ impl HistApprox {
     /// ascending deadline order. Conformance harnesses use this to probe
     /// per-instance sketch pools.
     pub fn instances(&self) -> impl Iterator<Item = (Time, &SieveAdn)> {
-        self.instances.iter().map(|(&d, inst)| (d, inst))
+        self.set.by_deadline.iter().map(|(&d, inst)| (d, inst))
     }
 
     /// Approximate heap footprint: the compressed instance set plus the
     /// live TDN (Theorem 8's `O(k ε⁻² log² k)` state plus `G_t`).
     pub fn approx_bytes(&self) -> usize {
-        let instances: usize = self.instances.values().map(|i| i.approx_bytes()).sum();
-        instances + self.graph.approx_bytes()
+        self.set.approx_bytes() + self.graph.approx_bytes()
     }
 
     /// Serializes the tracker as named sections:
@@ -153,19 +134,14 @@ impl HistApprox {
     /// dedup keeps that sound.
     pub fn write_sections(&self, sink: &mut codec::SectionSink) {
         let mut w = codec::Writer::new();
-        self.cfg.write_snapshot(&mut w);
-        w.put_u64(self.counter.get());
-        self.mode.write_snapshot(&mut w);
-        self.spread_stats.snapshot().write_snapshot(&mut w);
+        self.set.write_head(&mut w);
         w.put_bool(self.refeed);
         w.put_bool(self.last_t.is_some());
         w.put_u64(self.last_t.unwrap_or(0));
-        let deadlines: Vec<Time> = self.instances.keys().copied().collect();
+        let deadlines: Vec<Time> = self.set.by_deadline.keys().copied().collect();
         w.put_u64_run(&deadlines);
         sink.put("meta", w.into_vec());
-        for (&deadline, inst) in &self.instances {
-            inst.write_sections(sink, &format!("inst.{deadline}."));
-        }
+        self.set.write_instances(sink);
         self.graph.write_sections(sink, "g.");
     }
 
@@ -173,51 +149,24 @@ impl HistApprox {
     /// emitted. Every restored instance bills one fresh counter seeded with
     /// the saved tally, mirroring the interrupted run's shared counter.
     pub fn read_sections(map: &codec::SectionMap) -> Result<Self, codec::SectionError> {
-        let invalid =
-            |msg: &'static str| codec::SectionError::Codec(codec::CodecError::Invalid(msg));
         let mut r = map.reader("meta")?;
-        let cfg = TrackerConfig::read_snapshot(&mut r)?;
-        let calls = r.get_u64()?;
-        let mode = SpreadMode::read_snapshot(&mut r)?;
-        let stats_snap = SpreadStatsSnapshot::read_snapshot(&mut r)?;
+        let mut set = InstanceSet::read_head(&mut r)?;
         let refeed = r.get_bool()?;
         let has_last = r.get_bool()?;
         let last_raw = r.get_u64()?;
         let deadlines = r.get_u64_run()?;
         r.finish()?;
         let graph = TdnGraph::read_sections(map, "g.")?;
-        let counter = OracleCounter::new();
-        counter.set(calls);
-        let spread_stats = SpreadStats::new();
-        spread_stats.restore(&stats_snap);
-        let mut instances = BTreeMap::new();
-        for (i, &deadline) in deadlines.iter().enumerate() {
-            if deadline <= graph.now() {
-                return Err(invalid("HistApprox instance deadline already passed"));
-            }
-            if i > 0 && deadlines[i - 1] >= deadline {
-                return Err(invalid(
-                    "HistApprox instance deadlines repeat or are out of order",
-                ));
-            }
-            let prefix = format!("inst.{deadline}.");
-            let mut inst = SieveAdn::read_sections(map, &prefix, counter.clone())?;
-            if inst.spread_mode() != mode {
-                return Err(invalid(
-                    "HistApprox instance spread mode differs from tracker",
-                ));
-            }
-            inst.share_spread_stats(spread_stats.clone());
-            instances.insert(deadline, inst);
+        // Deadlines ascend (checked below), so the first is the earliest.
+        if deadlines.first().is_some_and(|&d| d <= graph.now()) {
+            return Err(codec::SectionError::Codec(codec::CodecError::Invalid(
+                "HistApprox instance deadline already passed",
+            )));
         }
+        set.read_instances(map, &deadlines)?;
         Ok(HistApprox {
-            cfg,
             graph,
-            instances,
-            counter,
-            mode,
-            traversal: TraversalKind::default(),
-            spread_stats,
+            set,
             refeed,
             last_t: has_last.then_some(last_raw),
         })
@@ -226,31 +175,21 @@ impl HistApprox {
     /// Alg. 3 `ProcessEdges`: route one same-lifetime group to instances.
     fn process_group(&mut self, t: Time, lifetime: Lifetime, edges: &[TimedEdge]) {
         let deadline = t + lifetime as Time;
-        if !self.instances.contains_key(&deadline) {
-            let successor = self
-                .instances
-                .range((Excluded(deadline), Unbounded))
-                .next()
-                .map(|(&d, _)| d);
-            let mut inst = match successor {
+        let instances = &self.set.by_deadline;
+        if !instances.contains_key(&deadline) {
+            let inst = match instances.range((Excluded(deadline), Unbounded)).next() {
                 // Fig. 6(b): no successor — nothing alive outlives `l`, so a
                 // fresh instance starts from the empty ADN (copies made in
                 // the other arm inherit mode, traversal backend, and shared
-                // stats via `clone`).
-                None => {
-                    let mut fresh = SieveAdn::from_config_with(
-                        &self.cfg,
-                        self.counter.clone(),
-                        self.mode,
-                        self.spread_stats.clone(),
-                    );
-                    fresh.set_traversal(self.traversal);
-                    fresh
-                }
+                // tallies via `clone`).
+                None => self.set.spawn(),
                 // Fig. 6(c): copy the successor and backfill the live edges
-                // with remaining lifetime in [l, l*).
-                Some(d_star) => {
-                    let mut copy = self.instances[&d_star].clone();
+                // with remaining lifetime in [l, l*). The current group is
+                // live in G_t too and lies in [l, l*), so the copy already
+                // sees it; feeding it again below is a no-op thanks to edge
+                // dedup (fresh instances need it).
+                Some((&d_star, successor)) => {
+                    let mut copy = successor.clone();
                     let l_star = (d_star - t) as Lifetime;
                     let backfill: Vec<_> = self
                         .graph
@@ -261,11 +200,7 @@ impl HistApprox {
                     copy
                 }
             };
-            // The current group is live in G_t too and lies in [l, l*), so
-            // a backfilled copy already saw it; feeding again is a no-op
-            // thanks to edge dedup. Fresh instances need it below anyway.
-            let _ = &mut inst;
-            self.instances.insert(deadline, inst);
+            self.set.by_deadline.insert(deadline, inst);
         }
         // Line 17: feed every instance with index ≤ l. The affected
         // instances are independent SIEVEADN states, so the feeds fan out
@@ -274,25 +209,26 @@ impl HistApprox {
         // Per-instance feed cost is skewed — graphs grow with the index —
         // so the stealing scheduler rebalances stragglers' tails.
         let mut affected: Vec<&mut SieveAdn> = self
-            .instances
+            .set
+            .by_deadline
             .range_mut(..=deadline)
             .map(|(_, inst)| inst)
             .collect();
         exec::par_for_each_mut_steal(&mut affected, |inst| {
             inst.feed(edges.iter().map(|e| (e.src, e.dst)));
         });
-        self.reduce_redundancy(t);
+        self.reduce_redundancy();
     }
 
     /// Alg. 3 `ReduceRedundancy`: drop instances strictly between `i` and
     /// the furthest `j` with `g(j) ≥ (1 − ε) g(i)`.
-    fn reduce_redundancy(&mut self, _t: Time) {
-        let n = self.instances.len();
+    fn reduce_redundancy(&mut self) {
+        let instances = &mut self.set.by_deadline;
+        let n = instances.len();
         if n <= 2 {
             return;
         }
-        let snapshot: Vec<(Time, u64)> = self
-            .instances
+        let snapshot: Vec<(Time, u64)> = instances
             .iter()
             .map(|(&d, inst)| (d, inst.best_value()))
             .collect();
@@ -302,7 +238,7 @@ impl HistApprox {
             let gi = snapshot[i].1 as f64;
             let mut jumped = false;
             for j in (i + 1..n).rev() {
-                if snapshot[j].1 as f64 >= (1.0 - self.cfg.eps) * gi {
+                if snapshot[j].1 as f64 >= (1.0 - self.set.cfg.eps) * gi {
                     for flag in keep.iter_mut().take(j).skip(i + 1) {
                         *flag = false;
                     }
@@ -317,7 +253,7 @@ impl HistApprox {
         }
         for (idx, &(d, _)) in snapshot.iter().enumerate() {
             if !keep[idx] {
-                self.instances.remove(&d);
+                instances.remove(&d);
             }
         }
     }
@@ -326,57 +262,7 @@ impl HistApprox {
     /// trackers come back unbudgeted; see
     /// [`TrackerConfig::memory_budget`]).
     pub fn set_memory_budget(&mut self, budget: Option<usize>) {
-        self.cfg.memory_budget = budget;
-    }
-
-    /// Budget-enforcement ladder, run after every step (see DESIGN.md
-    /// "Memory budget"): escalate through the correctness-preserving
-    /// shedding levels across *all* instances plus the live TDN —
-    /// (1) drop memo entries, (2) return recycled arenas and scratch,
-    /// (3) fall back to [`SpreadMode::FullRecompute`] for current and
-    /// future instances. Each level taken is tallied once in the shared
-    /// engine stats. Never fails: a workload whose irreducible live state
-    /// exceeds the ceiling keeps running at level 3.
-    fn enforce_budget(&mut self) {
-        let Some(budget) = self.cfg.memory_budget else {
-            return;
-        };
-        if self.approx_bytes() <= budget {
-            return;
-        }
-        for inst in self.instances.values_mut() {
-            inst.release_memo_memory();
-        }
-        self.spread_stats.note_shed(1);
-        if self.approx_bytes() <= budget {
-            return;
-        }
-        for inst in self.instances.values_mut() {
-            inst.release_recycled_memory();
-        }
-        self.graph.release_recycled_memory();
-        self.spread_stats.note_shed(2);
-        if self.approx_bytes() <= budget {
-            return;
-        }
-        self.mode = SpreadMode::FullRecompute;
-        for inst in self.instances.values_mut() {
-            inst.set_spread_mode(SpreadMode::FullRecompute);
-            inst.release_memo_memory();
-        }
-        self.spread_stats.note_shed(3);
-    }
-
-    /// Drops instances whose deadline has arrived (index reached zero).
-    fn expire_instances(&mut self, t: Time) {
-        loop {
-            match self.instances.first_key_value() {
-                Some((&d, _)) if d <= t => {
-                    self.instances.pop_first();
-                }
-                _ => break,
-            }
-        }
+        self.set.cfg.memory_budget = budget;
     }
 }
 
@@ -393,9 +279,9 @@ impl InfluenceTracker for HistApprox {
         // Advance the clock: expired edges leave G_t; instances whose
         // deadline passed are terminated (they answered earlier steps).
         self.graph.advance_to(t);
-        self.expire_instances(t);
+        self.set.expire_through(t);
         // Insert the batch into G_t (lifetimes clamped to L).
-        let l_max = self.cfg.max_lifetime;
+        let l_max = self.set.cfg.max_lifetime;
         let mut groups: BTreeMap<Lifetime, Vec<TimedEdge>> = BTreeMap::new();
         for e in batch {
             let l = e.lifetime.min(l_max).max(1);
@@ -407,7 +293,7 @@ impl InfluenceTracker for HistApprox {
             self.process_group(t, l, &edges);
         }
         // Answer from A_{x₁}, optionally refeeding short-lifetime edges.
-        let sol = match self.instances.first_key_value() {
+        let sol = match self.set.by_deadline.first_key_value() {
             None => Solution::empty(),
             Some((&d1, inst)) => {
                 let x1 = (d1 - t) as Lifetime;
@@ -427,13 +313,14 @@ impl InfluenceTracker for HistApprox {
         };
         // Enforced after the query so the post-step footprint — the state
         // an operator meters between steps — is bounded by the ceiling
-        // whenever the irreducible live state fits under it.
-        self.enforce_budget();
+        // whenever the irreducible live state fits under it. Level 2 also
+        // releases G_t's recycled memory.
+        self.set.enforce_budget(Some(&mut self.graph));
         sol
     }
 
     fn oracle_calls(&self) -> u64 {
-        self.counter.get()
+        self.set.counter.get()
     }
 }
 

@@ -46,6 +46,7 @@ pub mod engine;
 pub mod greedy;
 pub mod hist_approx;
 pub mod influence;
+mod instances;
 pub mod metrics;
 pub mod random;
 pub mod sieve_adn;

@@ -235,20 +235,6 @@ impl SieveAdn {
         SieveAdn::new(cfg.k, cfg.eps, cfg.singleton_prune, counter)
     }
 
-    /// Creates an instance from a [`TrackerConfig`] with an explicit
-    /// spread mode and a shared [`SpreadStats`] tally (what the
-    /// multi-instance trackers use, mirroring the shared oracle counter).
-    pub fn from_config_with(
-        cfg: &TrackerConfig,
-        counter: OracleCounter,
-        mode: SpreadMode,
-        stats: SpreadStats,
-    ) -> Self {
-        let mut inst = SieveAdn::from_config(cfg, counter).with_spread_mode(mode);
-        inst.share_spread_stats(stats);
-        inst
-    }
-
     /// Sets the spread-maintenance mode (builder form).
     pub fn with_spread_mode(mut self, mode: SpreadMode) -> Self {
         self.set_spread_mode(mode);
@@ -309,11 +295,6 @@ impl SieveAdn {
     /// instance bills.
     pub fn spread_stats(&self) -> SpreadStatsSnapshot {
         self.memo.stats().snapshot()
-    }
-
-    /// The shared stats handle (for trackers that serialize it once).
-    pub(crate) fn spread_stats_handle(&self) -> &SpreadStats {
-        self.memo.stats()
     }
 
     /// The accumulated ADN.
@@ -924,20 +905,33 @@ impl SieveAdn {
         })
     }
 
-    /// Shedding level 1: drops the spread memo's allocations, keeping only
-    /// the probe-gate counters. Correctness-preserving — every future
-    /// lookup misses and recomputes the exact BFS answer. Returns the
-    /// approximate bytes released.
-    pub fn release_memo_memory(&mut self) -> usize {
-        self.memo.release_memory()
-    }
-
-    /// Shedding level 2: returns recycled adjacency-arena blocks, excess
-    /// hash capacity, and pooled BFS scratch to the allocator. Pure layout
-    /// change — contents, traversal order, and snapshot bytes are all
-    /// unaffected. Returns the approximate bytes released.
-    pub fn release_recycled_memory(&mut self) -> usize {
-        self.graph.release_recycled_memory() + self.scratch.release_memory()
+    /// Takes shedding level `level` of the memory-budget ladder (see
+    /// DESIGN.md "Memory budget"). Every level preserves answers, oracle
+    /// tallies and engine tallies:
+    ///
+    /// 1. drop the spread memo's allocations, keeping only the probe-gate
+    ///    counters (every future lookup misses and recomputes the exact
+    ///    BFS answer);
+    /// 2. return recycled adjacency-arena blocks, excess hash capacity and
+    ///    pooled BFS scratch to the allocator (pure layout: contents,
+    ///    traversal order and snapshot bytes are unaffected);
+    /// 3. fall back to [`SpreadMode::FullRecompute`] and drop the memo, so
+    ///    it stops regrowing.
+    ///
+    /// Returns the approximate bytes released.
+    ///
+    /// # Panics
+    /// Panics if `level` is not 1, 2 or 3.
+    pub fn shed(&mut self, level: u8) -> usize {
+        match level {
+            1 => self.memo.release_memory(),
+            2 => self.graph.release_recycled_memory() + self.scratch.release_memory(),
+            3 => {
+                self.set_spread_mode(SpreadMode::FullRecompute);
+                self.memo.release_memory()
+            }
+            _ => panic!("shedding levels are 1, 2 and 3, not {level}"),
+        }
     }
 
     /// Current best value `g_t` (the histogram ordinate in HISTAPPROX).
@@ -1017,32 +1011,19 @@ impl SieveAdnTracker {
     }
 
     /// Budget-enforcement ladder, run after every step: while the
-    /// footprint exceeds the ceiling, escalate through the
-    /// correctness-preserving shedding levels — (1) drop memo entries,
-    /// (2) return recycled arenas and scratch, (3) fall back to
-    /// [`SpreadMode::FullRecompute`] so the memo stops regrowing. Each
-    /// level taken is tallied in [`SpreadStatsSnapshot`]'s shed counters.
-    /// Never fails: a workload whose irreducible live state exceeds the
-    /// ceiling keeps running at level 3.
+    /// footprint exceeds the ceiling, take the next [`SieveAdn::shed`]
+    /// level, tallied in [`SpreadStatsSnapshot`]'s shed counters. Never
+    /// fails: a workload whose irreducible live state exceeds the ceiling
+    /// keeps running at level 3.
     fn enforce_budget(&mut self) {
         let Some(budget) = self.budget else { return };
-        if self.inner.approx_bytes() <= budget {
-            return;
+        for level in 1..=3 {
+            if self.inner.approx_bytes() <= budget {
+                return;
+            }
+            self.inner.shed(level);
+            self.inner.memo.stats().note_shed(level);
         }
-        let stats = self.inner.spread_stats_handle().clone();
-        self.inner.release_memo_memory();
-        stats.note_shed(1);
-        if self.inner.approx_bytes() <= budget {
-            return;
-        }
-        self.inner.release_recycled_memory();
-        stats.note_shed(2);
-        if self.inner.approx_bytes() <= budget {
-            return;
-        }
-        self.inner.set_spread_mode(SpreadMode::FullRecompute);
-        self.inner.release_memo_memory();
-        stats.note_shed(3);
     }
 
     /// Serializes the tracker as named sections: a `meta` section (oracle
@@ -1068,7 +1049,7 @@ impl SieveAdnTracker {
         let counter = OracleCounter::new();
         counter.set(calls);
         let inner = SieveAdn::read_sections(map, "adn.", counter.clone())?;
-        inner.spread_stats_handle().restore(&stats_snap);
+        inner.memo.stats().restore(&stats_snap);
         Ok(SieveAdnTracker {
             inner,
             counter,
@@ -1527,46 +1508,56 @@ mod tests {
     }
 
     /// The memory budget is enforced by correctness-preserving shedding:
-    /// a tightly budgeted tracker answers bit-identically to an
-    /// unconstrained control while tallying shed events.
+    /// a tightly budgeted tracker of every family answers bit-identically
+    /// to an unconstrained control while tallying shed events.
     #[test]
     fn memory_budget_sheds_without_changing_answers() {
-        let cfg = TrackerConfig::new(2, 0.2, 100);
-        // A ceiling far below the workload's natural footprint forces the
-        // full ladder, including the FullRecompute fallback.
-        let tight = cfg.clone().with_memory_budget(1);
-        let mut budgeted = SieveAdnTracker::new(&tight);
-        let mut control = SieveAdnTracker::new(&cfg);
-        let mut state = 0xB06E7u64;
-        let mut rnd = move |m: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) % m
-        };
-        for t in 0..20u64 {
-            let batch: Vec<TimedEdge> = (0..3)
-                .map(|_| TimedEdge::new(rnd(30) as u32, rnd(30) as u32, 1))
-                .collect();
-            let a = budgeted.step(t, &batch);
-            let b = control.step(t, &batch);
-            assert_eq!(a, b, "shedding must not change answers (t={t})");
-            assert_eq!(budgeted.oracle_calls(), control.oracle_calls());
+        use crate::{BasicReduction, HistApprox, TrackerEngine};
+        fn check<T: TrackerEngine>(
+            stats: fn(&T) -> SpreadStatsSnapshot,
+            mode: fn(&T) -> SpreadMode,
+        ) {
+            let cfg = TrackerConfig::new(2, 0.2, 100);
+            // A ceiling far below the workload's natural footprint forces
+            // the full ladder, including the FullRecompute fallback.
+            let tight = cfg.clone().with_memory_budget(1);
+            let mut budgeted = T::from_config(&tight);
+            let mut control = T::from_config(&cfg);
+            let mut state = 0xB06E7u64;
+            let mut rnd = move |m: u64| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) % m
+            };
+            let name = budgeted.name();
+            for t in 0..20u64 {
+                let batch: Vec<TimedEdge> = (0..3)
+                    .map(|_| TimedEdge::new(rnd(30) as u32, rnd(30) as u32, 1 + (t % 5) as u32))
+                    .collect();
+                let a = budgeted.step(t, &batch);
+                let b = control.step(t, &batch);
+                assert_eq!(a, b, "{name}: shedding must not change answers (t={t})");
+                assert_eq!(budgeted.oracle_calls(), control.oracle_calls(), "{name}");
+            }
+            let shed = stats(&budgeted);
+            assert!(shed.shed_memo >= 1, "{name}: level 1 must have fired");
+            assert!(shed.shed_arena >= 1, "{name}: level 2 must have fired");
+            assert!(shed.shed_fallback >= 1, "{name}: level 3 must have fired");
+            assert_eq!(
+                mode(&budgeted),
+                SpreadMode::FullRecompute,
+                "{name}: fallback sticks"
+            );
+            assert_eq!(stats(&control).shed_memo, 0, "{name}");
+            // A generous ceiling sheds nothing.
+            let roomy = cfg.clone().with_memory_budget(1 << 30);
+            let mut easy = T::from_config(&roomy);
+            easy.step(0, &[TimedEdge::new(0u32, 1u32, 1)]);
+            assert_eq!(stats(&easy).shed_memo, 0, "{name}");
+            assert_eq!(mode(&easy), SpreadMode::Incremental, "{name}");
         }
-        let stats = budgeted.spread_stats();
-        assert!(stats.shed_memo >= 1, "level 1 must have fired");
-        assert!(stats.shed_arena >= 1, "level 2 must have fired");
-        assert!(stats.shed_fallback >= 1, "level 3 must have fired");
-        assert_eq!(
-            budgeted.spread_mode(),
-            SpreadMode::FullRecompute,
-            "fallback sticks"
-        );
-        assert_eq!(control.spread_stats().shed_memo, 0);
-        // A generous ceiling sheds nothing.
-        let roomy = cfg.clone().with_memory_budget(1 << 30);
-        let mut easy = SieveAdnTracker::new(&roomy);
-        easy.step(0, &[TimedEdge::new(0u32, 1u32, 1)]);
-        assert_eq!(easy.spread_stats().shed_memo, 0);
-        assert_eq!(easy.spread_mode(), SpreadMode::Incremental);
+        check(SieveAdnTracker::spread_stats, SieveAdnTracker::spread_mode);
+        check(BasicReduction::spread_stats, BasicReduction::spread_mode);
+        check(HistApprox::spread_stats, HistApprox::spread_mode);
     }
 
     /// Golden-path guarantee check: SieveADN ≥ (1/2−ε)·OPT on a stream of

@@ -772,53 +772,69 @@ pub fn reverse_reach_union_ordered<G: OutGraph + InGraph>(
     out.extend_from_slice(queue);
 }
 
-/// Wide-lane bit-parallel multi-source **reverse** reachability, generic
-/// over the label width `W` in `u64` words (`W · 64` lanes; shipped widths
-/// are 1, 2 and 4 — see [`lane_width_for`]).
+/// Edge orientation of [`label_sweep`], fixed at compile time: the
+/// adjacency a top-down round pushes a node's label across, and the
+/// opposite one a bottom-up round pulls a node's label from.
+trait Orientation {
+    /// Calls `f` on every node `v`'s label propagates to.
+    fn push<G: OutGraph + InGraph>(g: &G, v: NodeId, f: impl FnMut(NodeId));
+    /// Calls `f` on every node whose label propagates to `u`.
+    fn pull<G: OutGraph + InGraph>(g: &G, u: NodeId, f: impl FnMut(NodeId));
+    /// Prefetches the adjacency [`Self::pull`] reads for `u`.
+    fn prefetch_pull<G: OutGraph + InGraph>(g: &G, u: NodeId);
+}
+
+/// Labels flow against the edges: a node's label reaches its ancestors.
+struct Reverse;
+
+/// Labels flow along the edges: a node's label reaches its descendants.
+struct Forward;
+
+impl Orientation for Reverse {
+    fn push<G: OutGraph + InGraph>(g: &G, v: NodeId, f: impl FnMut(NodeId)) {
+        g.for_each_in(v, f);
+    }
+    fn pull<G: OutGraph + InGraph>(g: &G, u: NodeId, f: impl FnMut(NodeId)) {
+        g.for_each_out(u, f);
+    }
+    fn prefetch_pull<G: OutGraph + InGraph>(g: &G, u: NodeId) {
+        g.prefetch_out(u);
+    }
+}
+
+impl Orientation for Forward {
+    fn push<G: OutGraph + InGraph>(g: &G, v: NodeId, f: impl FnMut(NodeId)) {
+        g.for_each_out(v, f);
+    }
+    fn pull<G: OutGraph + InGraph>(g: &G, u: NodeId, f: impl FnMut(NodeId)) {
+        g.for_each_in(u, f);
+    }
+    fn prefetch_pull<G: OutGraph + InGraph>(g: &G, u: NodeId) {
+        g.prefetch_in(u);
+    }
+}
+
+/// The bit-parallel label-propagation kernel behind
+/// [`reverse_reach_batch`] and [`reach_count_batch`].
 ///
-/// Lane `i` computes the union of the reverse reachability sets of
-/// `lanes[i]` (every node that reaches any of its sources, sources
-/// included). All lanes run in one label-propagation traversal: each node
-/// carries a `[u64; W]` label whose bit `i` (bit `i % 64` of word
-/// `i / 64`) means "this node is in lane `i`'s set". `visit` is called
-/// exactly once per reached node with its final label, in first-touch
-/// order (deterministic, but callers must treat it as arbitrary — the
-/// sweep direction changes it).
-///
-/// `skip(v, u)` returns a mask of lanes that must **not** propagate across
-/// the reverse hop `v ← u`; pass `|_, _| [0; W]` for plain reachability.
-/// It must be a pure function of the edge: under
-/// [`SweepDirection::Auto`] the same hop can be consulted again in either
-/// direction and any round.
-///
-/// Both directions converge to the unique least fixpoint of the monotone
-/// propagation rule `label(u) ⊇ label(v) ∖ skip(v, u)` for every live edge
-/// `u → v` (plus the seeds), so final labels — and the visited set — are
-/// bit-identical whichever path computed them; see DESIGN.md § Flat graph
-/// core.
-///
-/// # Panics
-/// Panics if more than `W * 64` lanes are given.
-pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
+/// Each `(lane, node)` seed sets bit `lane % 64` of word `lane / 64` in
+/// `node`'s `[u64; W]` label. Labels then propagate across `O`'s edges —
+/// minus `skip(v, u)` on the hop that carries `v`'s label to `u` — until
+/// the least fixpoint of `label(u) ⊇ label(v) ∖ skip(v, u)`.
+/// `on_add(word, bits)` fires once for every lane bit newly set on a node
+/// (seeds included), so its calls sum to the final per-lane popcounts
+/// whatever order the sweep found them in. The labeled nodes are left in
+/// `scratch.touched` in first-touch order.
+fn label_sweep<const W: usize, O: Orientation, G: OutGraph + InGraph>(
     g: &G,
-    lanes: &[&[NodeId]],
+    seeds: impl Iterator<Item = (usize, NodeId)> + Clone,
     mut skip: impl FnMut(NodeId, NodeId) -> [u64; W],
     direction: SweepDirection,
     scratch: &mut ReachScratch,
-    mut visit: impl FnMut(NodeId, &[u64; W]),
+    mut on_add: impl FnMut(usize, u64),
 ) {
-    assert!(
-        lanes.len() <= W * 64,
-        "at most {} lanes per {W}-word traversal",
-        W * 64
-    );
-    let max_start = lanes
-        .iter()
-        .flat_map(|l| l.iter())
-        .map(|s| s.index() + 1)
-        .max()
-        .unwrap_or(0);
-    let bound = g.node_index_bound().max(max_start);
+    let max_start = seeds.clone().map(|(_, s)| s.index() + 1).max();
+    let bound = g.node_index_bound().max(max_start.unwrap_or(0));
     let live = g.live_node_count().max(1);
     scratch.begin_batch(bound, W);
     let ReachScratch {
@@ -835,27 +851,29 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
         bottom_up_rounds,
         ..
     } = scratch;
-    for (i, lane) in lanes.iter().enumerate() {
-        let (wi, bit) = (i >> 6, 1u64 << (i & 63));
-        for &s in *lane {
-            let idx = s.index();
-            if visited[idx] != *epoch {
-                visited[idx] = *epoch;
-                labels[idx * W..idx * W + W].fill(0);
-                touched.push(s);
-            }
-            labels[idx * W + wi] |= bit;
-            if stamp2[idx] != *epoch2 {
-                stamp2[idx] = *epoch2;
-                queue.push(s);
-                *batch_pushes += 1;
-            }
+    for (lane, s) in seeds {
+        let (wi, bit) = (lane >> 6, 1u64 << (lane & 63));
+        let idx = s.index();
+        if visited[idx] != *epoch {
+            visited[idx] = *epoch;
+            labels[idx * W..idx * W + W].fill(0);
+            touched.push(s);
+        }
+        let word = &mut labels[idx * W + wi];
+        if *word & bit == 0 {
+            *word |= bit;
+            on_add(wi, bit);
+        }
+        if stamp2[idx] != *epoch2 {
+            stamp2[idx] = *epoch2;
+            queue.push(s);
+            *batch_pushes += 1;
         }
     }
     let mut head = 0;
     let mut switched = false;
     'sweep: loop {
-        // --- Top-down: pop a node, push its label to its in-neighbors. ---
+        // --- Top-down: pop a node, push its label across `O`'s edges. ---
         while head < queue.len() {
             if direction == SweepDirection::Auto {
                 let pending = queue.len() - head;
@@ -867,7 +885,7 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
             head += 1;
             stamp2[v.index()] = 0;
             let lv = load_label::<W>(labels, v.index());
-            g.for_each_in(v, |u| {
+            O::push(g, v, |u| {
                 let sk = skip(v, u);
                 let mut prop = [0u64; W];
                 let mut any = 0u64;
@@ -887,9 +905,10 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
                 let mut grew = false;
                 for w in 0..W {
                     let word = &mut labels[idx * W + w];
-                    let grown = *word | prop[w];
-                    if grown != *word {
-                        *word = grown;
+                    let added = prop[w] & !*word;
+                    if added != 0 {
+                        *word |= added;
+                        on_add(w, added);
                         grew = true;
                     }
                 }
@@ -914,9 +933,9 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
             break;
         }
         // --- Bottom-up: the frontier got wide; scan every node index and
-        // pull from its out-neighbors instead. Pending worklist entries
-        // are subsumed by the full scan, so their in-queue marks clear and
-        // the queue is reused as the per-round change set. ---
+        // pull across `O`'s opposite edges instead. Pending worklist
+        // entries are subsumed by the full scan, so their in-queue marks
+        // clear and the queue is reused as the per-round change set. ---
         for &v in &queue[head..] {
             stamp2[v.index()] = 0;
         }
@@ -931,7 +950,7 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
             queue.clear();
             for idx in 0..bound {
                 if idx + PREFETCH_DIST < bound {
-                    g.prefetch_out(NodeId((idx + PREFETCH_DIST) as u32));
+                    O::prefetch_pull(g, NodeId((idx + PREFETCH_DIST) as u32));
                 }
                 let u = NodeId(idx as u32);
                 let first = visited[idx] != *epoch;
@@ -941,7 +960,7 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
                     load_label::<W>(labels, idx)
                 };
                 let mut acc = orig;
-                g.for_each_out(u, |v| {
+                O::pull(g, u, |v| {
                     let vi = v.index();
                     if visited[vi] != *epoch {
                         return;
@@ -956,6 +975,12 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
                     if first {
                         visited[idx] = *epoch;
                         touched.push(u);
+                    }
+                    for w in 0..W {
+                        let added = acc[w] & !orig[w];
+                        if added != 0 {
+                            on_add(w, added);
+                        }
                     }
                     labels[idx * W..idx * W + W].copy_from_slice(&acc);
                     queue.push(u);
@@ -976,8 +1001,55 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
             }
         }
     }
-    for &n in touched.iter() {
-        visit(n, &load_label::<W>(labels, n.index()));
+}
+
+/// Wide-lane bit-parallel multi-source **reverse** reachability, generic
+/// over the label width `W` in `u64` words (`W · 64` lanes; shipped widths
+/// are 1, 2 and 4 — see [`lane_width_for`]).
+///
+/// Lane `i` computes the union of the reverse reachability sets of
+/// `lanes[i]` (every node that reaches any of its sources, sources
+/// included). All lanes run in one label-propagation traversal: each node
+/// carries a `[u64; W]` label whose bit `i` (bit `i % 64` of word
+/// `i / 64`) means "this node is in lane `i`'s set". `visit` is called
+/// exactly once per reached node with its final label, in first-touch
+/// order (deterministic, but callers must treat it as arbitrary — the
+/// sweep direction changes it).
+///
+/// `skip(v, u)` returns a mask of lanes that must **not** propagate across
+/// the reverse hop `v ← u`; pass `|_, _| [0; W]` for plain reachability.
+/// It must be a pure function of the edge: under
+/// [`SweepDirection::Auto`] the same hop can be consulted again in either
+/// direction and any round.
+///
+/// Both directions converge to the unique least fixpoint of the monotone
+/// propagation rule `label(u) ⊇ label(v) ∖ skip(v, u)` for every live edge
+/// `u → v` (plus the seeds), so final labels — and the visited set — are
+/// bit-identical whichever path computed them; see DESIGN.md
+/// § Bit-parallel traversal kernels.
+///
+/// # Panics
+/// Panics if more than `W * 64` lanes are given.
+pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
+    g: &G,
+    lanes: &[&[NodeId]],
+    skip: impl FnMut(NodeId, NodeId) -> [u64; W],
+    direction: SweepDirection,
+    scratch: &mut ReachScratch,
+    mut visit: impl FnMut(NodeId, &[u64; W]),
+) {
+    assert!(
+        lanes.len() <= W * 64,
+        "at most {} lanes per {W}-word traversal",
+        W * 64
+    );
+    let seeds = lanes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, lane)| lane.iter().map(move |&s| (i, s)));
+    label_sweep::<W, Reverse, G>(g, seeds, skip, direction, scratch, |_, _| {});
+    for &n in &scratch.touched {
+        visit(n, &load_label::<W>(&scratch.labels, n.index()));
     }
 }
 
@@ -999,31 +1071,16 @@ pub fn reverse_reach_batch_wide<G: OutGraph + InGraph>(
     mut visit: impl FnMut(NodeId, [u64; 4]),
 ) {
     match words {
-        1 => reverse_reach_batch::<1, G>(
-            g,
-            lanes,
-            |_, _| [0; 1],
-            direction,
-            scratch,
-            |n, w| visit(n, [w[0], 0, 0, 0]),
-        ),
-        2 => reverse_reach_batch::<2, G>(
-            g,
-            lanes,
-            |_, _| [0; 2],
-            direction,
-            scratch,
-            |n, w| visit(n, [w[0], w[1], 0, 0]),
-        ),
-        4 => reverse_reach_batch::<4, G>(
-            g,
-            lanes,
-            |_, _| [0; 4],
-            direction,
-            scratch,
-            |n, w| visit(n, *w),
-        ),
+        1 => reverse_reach_batch::<1, G>(g, lanes, |_, _| [0; 1], direction, scratch, |_, _| {}),
+        2 => reverse_reach_batch::<2, G>(g, lanes, |_, _| [0; 2], direction, scratch, |_, _| {}),
+        4 => reverse_reach_batch::<4, G>(g, lanes, |_, _| [0; 4], direction, scratch, |_, _| {}),
         other => panic!("unsupported label width: {other} words (shipped: 1, 2, 4)"),
+    }
+    // The sweep leaves its nodes in `touched`, labels stride-`words`.
+    for &n in &scratch.touched {
+        let mut label = [0u64; 4];
+        label[..words].copy_from_slice(&scratch.labels[n.index() * words..][..words]);
+        visit(n, label);
     }
 }
 
@@ -1056,155 +1113,20 @@ pub fn reach_count_batch<const W: usize, G: OutGraph + InGraph>(
     );
     assert_eq!(sources.len(), counts.len());
     counts.fill(0);
-    let max_start = sources.iter().map(|s| s.index() + 1).max().unwrap_or(0);
-    let bound = g.node_index_bound().max(max_start);
-    let live = g.live_node_count().max(1);
-    scratch.begin_batch(bound, W);
-    let ReachScratch {
-        visited,
-        epoch,
-        queue,
-        labels,
-        stamp2,
-        epoch2,
-        batch_pushes,
-        drain_compactions,
-        drain_moved,
-        bottom_up_rounds,
-        ..
-    } = scratch;
-    let tally = |counts: &mut [u64], w: usize, mut added: u64| {
-        while added != 0 {
-            counts[(w << 6) + added.trailing_zeros() as usize] += 1;
-            added &= added - 1;
-        }
-    };
-    for (i, &s) in sources.iter().enumerate() {
-        let (wi, bit) = (i >> 6, 1u64 << (i & 63));
-        let idx = s.index();
-        if visited[idx] != *epoch {
-            visited[idx] = *epoch;
-            labels[idx * W..idx * W + W].fill(0);
-        }
-        let word = &mut labels[idx * W + wi];
-        if *word & bit == 0 {
-            *word |= bit;
-            tally(counts, wi, bit);
-        }
-        if stamp2[idx] != *epoch2 {
-            stamp2[idx] = *epoch2;
-            queue.push(s);
-            *batch_pushes += 1;
-        }
-    }
-    let mut head = 0;
-    let mut switched = false;
-    'sweep: loop {
-        // --- Top-down: pop a node, push its label to its out-neighbors. ---
-        while head < queue.len() {
-            if direction == SweepDirection::Auto {
-                let pending = queue.len() - head;
-                if pending >= BOTTOM_UP_MIN_FRONTIER && pending * BOTTOM_UP_DEN >= live {
-                    break;
-                }
+    let seeds = sources.iter().copied().enumerate();
+    label_sweep::<W, Forward, G>(
+        g,
+        seeds,
+        |_, _| [0; W],
+        direction,
+        scratch,
+        |w, mut added| {
+            while added != 0 {
+                counts[(w << 6) + added.trailing_zeros() as usize] += 1;
+                added &= added - 1;
             }
-            let v = queue[head];
-            head += 1;
-            stamp2[v.index()] = 0;
-            let lv = load_label::<W>(labels, v.index());
-            g.for_each_out(v, |u| {
-                let idx = u.index();
-                if visited[idx] != *epoch {
-                    visited[idx] = *epoch;
-                    labels[idx * W..idx * W + W].fill(0);
-                }
-                let mut grew = false;
-                for w in 0..W {
-                    let word = &mut labels[idx * W + w];
-                    let added = lv[w] & !*word;
-                    if added != 0 {
-                        tally(counts, w, added);
-                        *word |= added;
-                        grew = true;
-                    }
-                }
-                if grew && stamp2[idx] != *epoch2 {
-                    stamp2[idx] = *epoch2;
-                    queue.push(u);
-                    *batch_pushes += 1;
-                }
-            });
-            if head >= DRAIN_MIN_HEAD && head * 2 >= queue.len() {
-                *drain_compactions += 1;
-                *drain_moved += (queue.len() - head) as u64;
-                queue.drain(..head);
-                head = 0;
-            }
-        }
-        if head >= queue.len() {
-            break;
-        }
-        // --- Bottom-up: scan every node index and pull from in-neighbors. ---
-        for &v in &queue[head..] {
-            stamp2[v.index()] = 0;
-        }
-        queue.clear();
-        head = 0;
-        if !switched {
-            switched = true;
-            BOTTOM_UP_SWEEPS.fetch_add(1, Ordering::Relaxed);
-        }
-        loop {
-            *bottom_up_rounds += 1;
-            queue.clear();
-            for idx in 0..bound {
-                if idx + PREFETCH_DIST < bound {
-                    g.prefetch_in(NodeId((idx + PREFETCH_DIST) as u32));
-                }
-                let u = NodeId(idx as u32);
-                let first = visited[idx] != *epoch;
-                let orig = if first {
-                    [0u64; W]
-                } else {
-                    load_label::<W>(labels, idx)
-                };
-                let mut acc = orig;
-                g.for_each_in(u, |v| {
-                    let vi = v.index();
-                    if visited[vi] != *epoch {
-                        return;
-                    }
-                    let lvv = load_label::<W>(labels, vi);
-                    for w in 0..W {
-                        acc[w] |= lvv[w];
-                    }
-                });
-                if acc != orig {
-                    if first {
-                        visited[idx] = *epoch;
-                    }
-                    for w in 0..W {
-                        let added = acc[w] & !orig[w];
-                        if added != 0 {
-                            tally(counts, w, added);
-                        }
-                    }
-                    labels[idx * W..idx * W + W].copy_from_slice(&acc);
-                    queue.push(u);
-                }
-            }
-            if queue.is_empty() {
-                break 'sweep;
-            }
-            if queue.len() * BOTTOM_UP_DEN < live {
-                for &u in queue.iter() {
-                    stamp2[u.index()] = *epoch2;
-                }
-                *batch_pushes += queue.len() as u64;
-                continue 'sweep;
-            }
-        }
-    }
+        },
+    );
 }
 
 /// Runs [`reach_count_batch`] at a label width chosen at **runtime** — the

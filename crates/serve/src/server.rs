@@ -441,6 +441,34 @@ fn tenant_of_filename(name: &str) -> Option<TenantId> {
     TenantId::from_str_radix(hex, 16).ok()
 }
 
+/// Restores a tenant's engine from the newest of its chain files that
+/// restores, falling back to older ones on error, and re-arms the
+/// configured memory budget (checkpoints never carry it). Returns the
+/// resume step, the engine and how many newer links failed first, or the
+/// last link's error as `"{file}: {error}"`.
+fn restore_newest<T: TrackerEngine + Persist>(
+    mut paths: Vec<PathBuf>,
+    cfg: &TrackerConfig,
+) -> Result<(u64, T, u64), String> {
+    // Filenames embed the zero-padded step, so lexicographically
+    // descending order is newest-first.
+    paths.sort_unstable_by(|a, b| b.cmp(a));
+    let mut last_err = String::new();
+    for (failed, path) in (0u64..).zip(&paths) {
+        match load_checkpoint::<T>(path, cfg) {
+            Ok((step, mut engine)) => {
+                engine.set_memory_budget(cfg.memory_budget);
+                return Ok((step, engine, failed));
+            }
+            Err(e) => {
+                let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+                last_err = format!("{}: {e}", name.unwrap_or_default());
+            }
+        }
+    }
+    Err(last_err)
+}
+
 fn save_tenant<T: TrackerEngine + Persist>(
     state: &mut TenantState<T>,
     tenant: TenantId,
@@ -744,7 +772,8 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
     /// skipped and counted, and a tenant whose links are truncated or
     /// bit-flipped falls back to older links — if none restores, the
     /// tenant is provisioned fresh and **quarantined with the error**
-    /// rather than aborting the whole recovery. Restored tenants
+    /// rather than aborting the whole recovery. Restored engines get the
+    /// configured memory budget back (checkpoints never carry it) and
     /// republish a provisional snapshot; the front-end then replays its
     /// stream and the idempotent guard drops everything at or before
     /// each watermark, so at-least-once redelivery converges on the
@@ -762,8 +791,7 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
             stale_tmp_removed: clean_stale_tmp(&dir, None).map_or(0, |v| v.len()),
             ..Default::default()
         };
-        // All chain files per tenant: filenames embed the zero-padded
-        // step, so lexicographically-descending order is newest-first.
+        // All chain files per tenant.
         let mut files: BTreeMap<TenantId, Vec<PathBuf>> = BTreeMap::new();
         let entries = match std::fs::read_dir(&dir) {
             Ok(e) => e,
@@ -784,28 +812,10 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
             };
             files.entry(tenant).or_default().push(path);
         }
-        for (tenant, mut paths) in files {
-            paths.sort();
-            paths.reverse();
-            let mut restored: Option<(u64, T)> = None;
-            let mut last_err = String::new();
-            let mut tried = 0u64;
-            for path in &paths {
-                tried += 1;
-                match load_checkpoint::<T>(path, &server.cfg.tracker) {
-                    Ok(hit) => {
-                        restored = Some(hit);
-                        break;
-                    }
-                    Err(e) => {
-                        let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
-                        last_err = format!("{}: {e}", name.unwrap_or_default());
-                    }
-                }
-            }
-            let state = match restored {
-                Some((step, engine)) => {
-                    report.fallbacks += tried.saturating_sub(1);
+        for (tenant, paths) in files {
+            let state = match restore_newest::<T>(paths, &server.cfg.tracker) {
+                Ok((step, engine, fallbacks)) => {
+                    report.fallbacks += fallbacks;
                     report.recovered.push(tenant);
                     let last_t = step.checked_sub(1);
                     TenantState {
@@ -822,7 +832,7 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
                         health: HealthState::Healthy,
                     }
                 }
-                None => {
+                Err(last_err) => {
                     report.quarantined.push((tenant, last_err.clone()));
                     let mut state = TenantState::fresh(tenant, &server.cfg);
                     state.health = HealthState::Quarantined {
@@ -840,8 +850,9 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
 
     /// Supervised recovery for one quarantined (or any) tenant: restores
     /// its engine from the newest restorable chain link — falling back to
-    /// older links — or provisions it fresh when nothing restores, and
-    /// marks it `Recovering`. Returns the restored watermark (`None`
+    /// older links, with the configured memory budget re-armed — or
+    /// provisions it fresh when nothing restores, and marks it
+    /// `Recovering`. Returns the restored watermark (`None`
     /// when fresh): the supervisor must replay the tenant's stream from
     /// the beginning; the idempotence guard skips the already-applied
     /// prefix and the first successfully applied batch flips the tenant
@@ -870,18 +881,9 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
         }
-        paths.sort();
-        paths.reverse();
-        let mut restored: Option<(u64, T)> = None;
-        for path in &paths {
-            if let Ok(hit) = load_checkpoint::<T>(path, &self.cfg.tracker) {
-                restored = Some(hit);
-                break;
-            }
-        }
-        let (last_t, engine) = match restored {
-            Some((step, engine)) => (step.checked_sub(1), engine),
-            None => (None, T::from_config(&self.cfg.tracker)),
+        let (last_t, engine) = match restore_newest::<T>(paths, &self.cfg.tracker) {
+            Ok((step, engine, _)) => (step.checked_sub(1), engine),
+            Err(_) => (None, T::from_config(&self.cfg.tracker)),
         };
         self.install_recovering(tenant, engine, last_t);
         Ok(last_t)
@@ -1079,6 +1081,63 @@ mod tests {
                 reference.query(tenant),
                 recovered.query(tenant),
                 "tenant {tenant} diverged after recovery"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Checkpoints never carry the memory budget (it is operational
+    /// state), so both restore paths must re-arm the configured ceiling:
+    /// a tenant restored by `recover` and one restored by `revive_tenant`
+    /// both shed on their first replayed step.
+    #[test]
+    fn restored_tenants_keep_their_memory_budget() {
+        let dir = std::env::temp_dir().join("tdn_serve_unit_budget");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServeConfig::new(2, tcfg().with_memory_budget(1)).with_checkpoints(&dir, 4);
+        let all: Vec<_> = workload().interleaved().collect();
+        let mut victim = Server::<SieveAdnTracker>::new(cfg.clone()).unwrap();
+        for b in &all[..all.len() / 2] {
+            victim
+                .submit_batch(b.tenant as TenantId, b.t, b.edges.clone())
+                .unwrap();
+        }
+        victim.flush().unwrap();
+        assert!(victim.checkpoint_all().unwrap().saved > 0);
+        drop(victim);
+
+        let (mut server, rec) = Server::<SieveAdnTracker>::recover(cfg).unwrap();
+        assert!(rec.recovered.len() >= 2, "{rec:?}");
+        let revived = rec.recovered[0];
+        assert!(server.revive_tenant(revived).unwrap().is_some());
+        let shed_memo = |server: &Server<SieveAdnTracker>, tenant: TenantId| {
+            let shard = &server.shards[server.shard_of(tenant)];
+            shard.tenants[&tenant].engine.spread_stats().shed_memo
+        };
+        let before: Vec<u64> = rec
+            .recovered
+            .iter()
+            .map(|&t| shed_memo(&server, t))
+            .collect();
+        for &tenant in &rec.recovered {
+            let next = all
+                .iter()
+                .find(|b| b.tenant as TenantId == tenant && Some(b.t) > server.last_t(tenant))
+                .expect("the stream continues past the checkpoint");
+            server
+                .submit_batch(tenant, next.t, next.edges.clone())
+                .unwrap();
+        }
+        assert_eq!(server.flush().unwrap().steps, rec.recovered.len() as u64);
+        for (&tenant, &was) in rec.recovered.iter().zip(&before) {
+            let how = if tenant == revived {
+                "revive_tenant"
+            } else {
+                "recover"
+            };
+            assert!(
+                shed_memo(&server, tenant) > was,
+                "tenant {tenant} restored by {how} lost its memory budget"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);

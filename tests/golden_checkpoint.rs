@@ -9,6 +9,9 @@
 //! speaking the exact serialized shape (order-sensitive structures
 //! verbatim) that the committed checkpoints use.
 //!
+//! The bytes themselves are pinned too: a fresh save of the same run must
+//! equal the committed fixture byte for byte.
+//!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -q golden_checkpoint` —
 //! only legitimate when the checkpoint format version itself is bumped.
 
@@ -59,14 +62,20 @@ where
     F: Fn() -> T,
 {
     let path = fixture_path(name);
+    let mut live = make();
+    for t in 0..CUT {
+        live.step(t, &batch_at(t));
+    }
     if std::env::var("UPDATE_GOLDEN").as_deref() == Ok("1") {
-        let mut live = make();
-        for t in 0..CUT {
-            live.step(t, &batch_at(t));
-        }
         save_checkpoint(&path, &live, &cfg(), CUT).expect("write fixture");
         eprintln!("regenerated {}", path.display());
     }
+    let committed = std::fs::read(&path).expect("fixture readable");
+    assert!(
+        checkpoint_to_vec(&live, &cfg(), CUT) == committed,
+        "{name}: a fresh save differs from the committed {} bytes",
+        committed.len()
+    );
     let manifest = read_manifest(&path).expect("fixture manifest readable");
     assert_eq!(manifest.step, CUT, "{name}: fixture cut drifted");
     let (resume, mut warm): (u64, T) =
@@ -76,11 +85,7 @@ where
     // uninterrupted run; they must agree on every solution and on the
     // final oracle tally.
     let warm_result = run_tail(&mut warm, CUT);
-    let mut fresh = make();
-    for t in 0..CUT {
-        fresh.step(t, &batch_at(t));
-    }
-    let fresh_result = run_tail(&mut fresh, CUT);
+    let fresh_result = run_tail(&mut live, CUT);
     assert_eq!(warm_result, fresh_result, "{name}: warm tail diverged");
 }
 

@@ -1,6 +1,8 @@
-//! Differential test: the wide bit-parallel reverse traversal
-//! ([`reverse_reach_batch_wide`]) against the scalar reference
-//! ([`reverse_reach_collect`]) on *multigraphs with self-loops* —
+//! Differential test: the wide bit-parallel label sweep in both
+//! orientations — reverse reachability ([`reverse_reach_batch_wide`]) and
+//! forward counting ([`reach_count_batch_wide`]) — against the scalar
+//! references ([`reverse_reach_collect`], [`reach_count`]) on
+//! *multigraphs with self-loops* —
 //! adjacency shapes the production graphs never store (both `AdnGraph`
 //! and `TdnGraph` reject self-loops and deduplicate at insert) but that
 //! the traversal contract explicitly permits: `for_each_out` /
@@ -15,8 +17,8 @@
 
 use proptest::prelude::*;
 use tdn::graph::{
-    reverse_reach_batch_wide, reverse_reach_collect, InGraph, NodeBitSet, NodeId, OutGraph,
-    ReachScratch, SweepDirection,
+    reach_count, reach_count_batch_wide, reverse_reach_batch_wide, reverse_reach_collect, InGraph,
+    NodeBitSet, NodeId, OutGraph, ReachScratch, SweepDirection,
 };
 
 /// A raw edge-list multigraph: stores edges exactly as given — self-loops
@@ -137,6 +139,33 @@ fn check_against_scalar(n: usize, edges: &[(u8, u8)]) -> Result<(), TestCaseErro
                 words,
                 root
             );
+        }
+    }
+    check_counts_against_scalar(&g)
+}
+
+/// The forward counting kernel from every present node (one lane each)
+/// against per-root scalar BFS counts, at every width and direction.
+fn check_counts_against_scalar(g: &MultiGraph) -> Result<(), TestCaseError> {
+    let roots: Vec<NodeId> = g.nodes().collect();
+    let mut scratch = ReachScratch::new();
+    let scalar: Vec<u64> = roots
+        .iter()
+        .map(|&r| reach_count(g, r, &mut scratch))
+        .collect();
+    for words in [1usize, 2, 4] {
+        for dir in [SweepDirection::TopDown, SweepDirection::Auto] {
+            for (chunk, want) in roots.chunks(words * 64).zip(scalar.chunks(words * 64)) {
+                let mut counts = vec![0; chunk.len()];
+                reach_count_batch_wide(g, chunk, words, dir, &mut scratch, &mut counts);
+                prop_assert_eq!(
+                    &counts[..],
+                    want,
+                    "forward counts ({} words, {:?}) disagree with scalar",
+                    words,
+                    dir
+                );
+            }
         }
     }
     Ok(())
