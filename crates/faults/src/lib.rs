@@ -380,10 +380,6 @@ impl CheckpointIo for FaultyIo {
         std::fs::rename(from, to)
     }
 
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
-    }
-
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         std::fs::create_dir_all(path)
     }

@@ -1,7 +1,7 @@
 //! The filesystem boundary of the persistence layer.
 //!
-//! Every byte the checkpoint subsystem moves to or from disk goes through
-//! a [`CheckpointIo`] implementation. Production code uses [`StdIo`]
+//! Every byte the checkpoint subsystem writes to disk goes through a
+//! [`CheckpointIo`] implementation. Production code uses [`StdIo`]
 //! (plain `std::fs`); the fault-injection harness (`tdn-faults`) swaps in
 //! an adapter that fails seeded operations with `EIO`/`ENOSPC`, tears
 //! writes mid-buffer, or drops the rename of an atomic write — which is
@@ -26,9 +26,6 @@ pub trait CheckpointIo: Send + Sync {
     /// Atomically renames `from` to `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
 
-    /// Reads the entire file at `path`.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-
     /// Creates `path` and any missing ancestors.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
 
@@ -47,10 +44,6 @@ impl CheckpointIo for StdIo {
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         std::fs::rename(from, to)
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
     }
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {

@@ -34,10 +34,15 @@
 //! the sections that changed since its parent; a section the parent saved
 //! under the same name with the same `(length, checksum)` shrinks to a
 //! reference. Restoring a delta resolves the parent chain —
-//! [`restore_from_chain`] for in-memory links,
-//! [`load_checkpoint`] transparently walking sibling files by snapshot id.
-//! [`CheckpointChain`] manages a directory of chained saves and compacts
-//! (writes a fresh base) when the chain exceeds its [`CompactionPolicy`].
+//! [`restore_from_chain`] for in-memory links, [`load_checkpoint`] for a
+//! file, reading each parent from the sibling link whose name carries its
+//! snapshot id. [`CheckpointChain`] manages a directory of chained saves
+//! and compacts (writes a fresh base) when the chain exceeds its
+//! [`CompactionPolicy`]. This crate is the only code that names, lists,
+//! chains and orders checkpoint files: [`ChainLink`] parses a name,
+//! [`list_chain_links`] lists a directory once in numeric step order, and
+//! [`load_newest`] restores a chain's newest link that restores, falling
+//! back to older ones.
 //! Restores fail loudly with a typed [`PersistError`] on any mismatch:
 //! foreign files, other format versions, a different `TrackerConfig`,
 //! truncation, bit rot, a missing base, or a cyclic chain. They never
@@ -189,19 +194,28 @@ fn snapshot_id_for(payload_checksum: u64, step: u64, parent_id: u64) -> u64 {
     codec::fnv1a64(w.as_slice())
 }
 
-/// Wraps a finished section container in the envelope: manifest
-/// header, payload, and a trailing FNV-1a checksum covering *both* (so a
-/// flipped bit anywhere in the file fails the restore). Returns the bytes
-/// and the content-derived snapshot id recorded in the header.
-fn envelope<T: Persist>(
+/// The one encoder behind every save: the tracker's sections go into a
+/// sink over the parent's index and id (`None` for a base), and the
+/// finished container is wrapped in the envelope — manifest header,
+/// payload, and a trailing FNV-1a checksum covering *both* (so a flipped
+/// bit anywhere in the file fails the restore). Returns the bytes, the
+/// index for the next delta and the content-derived snapshot id, plus the
+/// counts of sections written inline and as references.
+fn encode<T: Persist>(
+    tracker: &T,
     cfg: &TrackerConfig,
     step: u64,
-    snapshot_kind: SnapshotKind,
-    parent_id: u64,
-    payload: Vec<u8>,
-) -> (Vec<u8>, u64) {
-    let payload_checksum = codec::fnv1a64(&payload);
-    let snapshot_id = snapshot_id_for(payload_checksum, step, parent_id);
+    parent: Option<(codec::ParentIndex, u64)>,
+) -> ((Vec<u8>, codec::ParentIndex, u64), (usize, usize)) {
+    let (snapshot_kind, index, parent_id) = match parent {
+        None => (SnapshotKind::Base, codec::ParentIndex::new(), 0),
+        Some((index, parent_id)) => (SnapshotKind::Delta, index, parent_id),
+    };
+    let mut sink = codec::SectionSink::new(index);
+    tracker.write_sections(&mut sink);
+    let sections = sink.counts();
+    let (payload, next) = sink.finish();
+    let snapshot_id = snapshot_id_for(codec::fnv1a64(&payload), step, parent_id);
     let mut w = codec::Writer::new();
     Manifest {
         format_version: FORMAT_VERSION,
@@ -218,7 +232,7 @@ fn envelope<T: Persist>(
     bytes.extend_from_slice(&payload);
     let file_checksum = codec::fnv1a64(&bytes);
     bytes.extend_from_slice(&file_checksum.to_le_bytes());
-    (bytes, snapshot_id)
+    ((bytes, next, snapshot_id), sections)
 }
 
 /// Serializes a self-contained base checkpoint into memory: manifest
@@ -238,11 +252,7 @@ pub fn checkpoint_base_to_vec<T: Persist>(
     cfg: &TrackerConfig,
     step: u64,
 ) -> (Vec<u8>, codec::ParentIndex, u64) {
-    let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
-    tracker.write_sections(&mut sink);
-    let (payload, next) = sink.finish();
-    let (bytes, snapshot_id) = envelope::<T>(cfg, step, SnapshotKind::Base, 0, payload);
-    (bytes, next, snapshot_id)
+    encode(tracker, cfg, step, None).0
 }
 
 /// Serializes a delta checkpoint: sections the parent saved under the same
@@ -258,11 +268,7 @@ pub fn checkpoint_delta_to_vec<T: Persist>(
     parent: &codec::ParentIndex,
     parent_id: u64,
 ) -> (Vec<u8>, codec::ParentIndex, u64) {
-    let mut sink = codec::SectionSink::new(parent.clone());
-    tracker.write_sections(&mut sink);
-    let (payload, next) = sink.finish();
-    let (bytes, snapshot_id) = envelope::<T>(cfg, step, SnapshotKind::Delta, parent_id, payload);
-    (bytes, next, snapshot_id)
+    encode(tracker, cfg, step, Some((parent.clone(), parent_id))).0
 }
 
 /// Validates everything that can be checked without touching tracker
@@ -407,21 +413,7 @@ pub fn save_checkpoint<T: Persist>(
     cfg: &TrackerConfig,
     step: u64,
 ) -> Result<(), PersistError> {
-    save_checkpoint_with(&StdIo, path, tracker, cfg, step)
-}
-
-/// [`save_checkpoint`] through an explicit [`CheckpointIo`] — the entry
-/// point fault-injection harnesses use to make the tmp write, the rename,
-/// or both fail deterministically.
-pub fn save_checkpoint_with<T: Persist>(
-    io: &dyn CheckpointIo,
-    path: &Path,
-    tracker: &T,
-    cfg: &TrackerConfig,
-    step: u64,
-) -> Result<(), PersistError> {
-    let bytes = checkpoint_to_vec(tracker, cfg, step);
-    write_atomic_with(io, path, &bytes)
+    write_atomic_with(&StdIo, path, &checkpoint_to_vec(tracker, cfg, step))
 }
 
 /// Atomic-by-rename write through a [`CheckpointIo`]: bytes land in
@@ -430,11 +422,7 @@ pub fn save_checkpoint_with<T: Persist>(
 /// failure must not leave debris that a later recovery scan has to clean);
 /// a *crash* between write and rename still can, which is exactly what
 /// [`clean_stale_tmp`] and `Server::recover` handle.
-pub fn write_atomic_with(
-    io: &dyn CheckpointIo,
-    path: &Path,
-    bytes: &[u8],
-) -> Result<(), PersistError> {
+fn write_atomic_with(io: &dyn CheckpointIo, path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     let tmp = path.with_extension("tmp");
     io.write(&tmp, bytes)?;
     if let Err(e) = io.rename(&tmp, path) {
@@ -479,31 +467,131 @@ pub fn clean_stale_tmp(dir: &Path, prefix: Option<&str>) -> Result<Vec<PathBuf>,
     Ok(removed)
 }
 
-/// Reads and restores a checkpoint file. A base restores directly; a delta
-/// triggers chain resolution — sibling files with the same extension are
-/// scanned for each required parent snapshot id until a base is reached.
-/// A parent that cannot be found fails with [`PersistError::MissingBase`];
-/// parent links that revisit a snapshot id fail with
-/// [`PersistError::ChainCycle`].
+/// One checkpoint file of a [`CheckpointChain`], as its name records it:
+/// `{prefix}-{step:08}-{snapshot_id:016x}.tdnc`. Links order by prefix,
+/// then numeric step, then snapshot id — stream order within a chain at
+/// any step width.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ChainLink {
+    /// The chain's name ([`CheckpointChain::new`]'s `prefix`).
+    pub prefix: String,
+    /// The stream position the link was saved at.
+    pub step: u64,
+    /// The content-derived snapshot id in the link's manifest.
+    pub snapshot_id: u64,
+    /// The file.
+    pub path: PathBuf,
+}
+
+impl ChainLink {
+    /// The file name a chain gives a save — the only place it is spelled.
+    fn file_name(prefix: &str, step: u64, snapshot_id: u64) -> String {
+        format!("{prefix}-{step:08}-{snapshot_id:016x}.tdnc")
+    }
+
+    /// Parses `path`'s file name; `None` unless it is exactly a name
+    /// [`ChainLink::file_name`] writes.
+    fn parse(path: &Path) -> Option<ChainLink> {
+        let name = path.file_name()?.to_str()?;
+        let (rest, id) = name.strip_suffix(".tdnc")?.rsplit_once('-')?;
+        let (prefix, step) = rest.rsplit_once('-')?;
+        let step = step.parse().ok()?;
+        let snapshot_id = u64::from_str_radix(id, 16).ok()?;
+        (Self::file_name(prefix, step, snapshot_id) == name).then(|| ChainLink {
+            prefix: prefix.to_string(),
+            step,
+            snapshot_id,
+            path: path.to_path_buf(),
+        })
+    }
+}
+
+/// Lists the chain links in `dir`, reading the directory once. Returns
+/// the links sorted by prefix, then numeric step, then snapshot id (each
+/// chain oldest first), and the count of other `.tdnc` files — foreign
+/// data sharing the directory. A missing directory lists nothing.
+pub fn list_chain_links(dir: &Path) -> std::io::Result<(Vec<ChainLink>, usize)> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+        Err(e) => return Err(e),
+    };
+    let mut links = Vec::new();
+    let mut foreign = 0;
+    for entry in entries {
+        let path = entry?.path();
+        match ChainLink::parse(&path) {
+            Some(link) => links.push(link),
+            None if path.extension().is_some_and(|e| e == "tdnc") => foreign += 1,
+            None => {}
+        }
+    }
+    links.sort_unstable();
+    Ok((links, foreign))
+}
+
+/// Reads and restores a checkpoint file. A base restores directly. A
+/// delta resolves within its own chain: the directory is listed once, and
+/// each parent is the link with the delta's prefix whose name carries the
+/// parent's snapshot id (so a delta not named as a [`ChainLink`] has no
+/// parents to find). A parent that cannot be found fails with
+/// [`PersistError::MissingBase`]; parent links that revisit a snapshot id
+/// fail with [`PersistError::ChainCycle`].
 pub fn load_checkpoint<T: Persist>(
     path: &Path,
     cfg: &TrackerConfig,
 ) -> Result<(u64, T), PersistError> {
     let tip = std::fs::read(path)?;
-    let manifest = peek_manifest(&tip)?;
-    if manifest.snapshot_kind == SnapshotKind::Base {
-        return restore_from_slice(&tip, cfg);
+    let mut links = Vec::new();
+    if peek_manifest(&tip)?.snapshot_kind == SnapshotKind::Delta {
+        if let Some(me) = ChainLink::parse(path) {
+            let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+            links = list_chain_links(dir.unwrap_or(Path::new(".")))?.0;
+            links.retain(|l| l.prefix == me.prefix);
+        }
     }
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let ext = path.extension().map(|e| e.to_os_string());
-    let mut links: Vec<Vec<u8>> = vec![tip];
-    let mut seen: HashSet<u64> = HashSet::new();
-    seen.insert(manifest.snapshot_id);
-    let mut need = manifest.parent_id;
-    loop {
+    restore_tip(tip, &links, cfg)
+}
+
+/// Restores the newest of one chain's `links` (oldest first, as one
+/// prefix's run of [`list_chain_links`]) that restores, falling back to
+/// older links when a newer one fails; parents resolve among `links`.
+/// Returns the stream position, the tracker and how many newer links
+/// failed first, or the last failure as `"{file}: {error}"`.
+pub fn load_newest<T: Persist>(
+    links: &[ChainLink],
+    cfg: &TrackerConfig,
+) -> Result<(u64, T, u64), String> {
+    let mut last_err = String::from("no chain links");
+    for (failed, link) in (0u64..).zip(links.iter().rev()) {
+        let restored = std::fs::read(&link.path)
+            .map_err(PersistError::from)
+            .and_then(|tip| restore_tip(tip, links, cfg));
+        match restored {
+            Ok((step, tracker)) => return Ok((step, tracker, failed)),
+            Err(e) => {
+                let name = link.path.file_name().unwrap_or_default();
+                last_err = format!("{}: {e}", name.to_string_lossy());
+            }
+        }
+    }
+    Err(last_err)
+}
+
+/// Restores the chain ending in `tip`: while the last link read is a
+/// delta, its parent is read from the link in `links` whose name carries
+/// the parent's snapshot id, then [`restore_from_chain`] validates and
+/// resolves the whole chain.
+fn restore_tip<T: Persist>(
+    tip: Vec<u8>,
+    links: &[ChainLink],
+    cfg: &TrackerConfig,
+) -> Result<(u64, T), PersistError> {
+    let mut manifest = peek_manifest(&tip)?;
+    let mut chain = vec![tip];
+    let mut seen = HashSet::from([manifest.snapshot_id]);
+    while manifest.snapshot_kind == SnapshotKind::Delta {
+        let need = manifest.parent_id;
         if need == 0 {
             // A delta without a parent id is structurally corrupt; surface
             // it as the missing-base it effectively is.
@@ -512,42 +600,16 @@ pub fn load_checkpoint<T: Persist>(
         if !seen.insert(need) {
             return Err(PersistError::ChainCycle { snapshot_id: need });
         }
-        let parent = find_snapshot_in_dir(&dir, ext.as_deref(), need)?
+        let parent = links
+            .iter()
+            .find(|l| l.snapshot_id == need)
             .ok_or(PersistError::MissingBase { snapshot_id: need })?;
-        let pm = peek_manifest(&parent)?;
-        let is_base = pm.snapshot_kind == SnapshotKind::Base;
-        need = pm.parent_id;
-        links.push(parent);
-        if is_base {
-            break;
-        }
+        let bytes = std::fs::read(&parent.path)?;
+        manifest = peek_manifest(&bytes)?;
+        chain.push(bytes);
     }
-    let refs: Vec<&[u8]> = links.iter().map(Vec::as_slice).collect();
+    let refs: Vec<&[u8]> = chain.iter().map(Vec::as_slice).collect();
     restore_from_chain(&refs, cfg)
-}
-
-/// Scans `dir` for a checkpoint file (matching `ext`, if the tip had an
-/// extension) whose manifest records `snapshot_id`. Non-checkpoint files
-/// and unreadable manifests are skipped, not errors — checkpoint
-/// directories may hold logs, tmp files, or foreign data.
-fn find_snapshot_in_dir(
-    dir: &Path,
-    ext: Option<&std::ffi::OsStr>,
-    snapshot_id: u64,
-) -> Result<Option<Vec<u8>>, PersistError> {
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if !path.is_file() || path.extension() != ext {
-            continue;
-        }
-        let Ok(m) = read_manifest(&path) else {
-            continue;
-        };
-        if m.snapshot_id == snapshot_id {
-            return Ok(Some(std::fs::read(&path)?));
-        }
-    }
-    Ok(None)
 }
 
 /// Reads just the manifest of a checkpoint file.
@@ -625,11 +687,12 @@ struct ChainTip {
 /// when the [`CompactionPolicy`] says the chain has grown too costly to
 /// restore.
 ///
-/// Files are named `{prefix}-{step:08}-{snapshot_id:016x}.tdnc`, so
-/// lexicographic order is step order and [`load_checkpoint`] can resolve
-/// parents by scanning the directory. The chain keeps no state on disk
-/// beyond the files themselves: a new `CheckpointChain` (e.g. after a
-/// process restart) simply starts with a base.
+/// Each save is one [`ChainLink`], named
+/// `{prefix}-{step:08}-{snapshot_id:016x}.tdnc`: [`list_chain_links`]
+/// orders the links by numeric step, and [`load_checkpoint`] finds each
+/// delta's parent by the snapshot id in its name. The chain keeps no
+/// state on disk beyond the files themselves: a new `CheckpointChain`
+/// (e.g. after a process restart) simply starts with a base.
 pub struct CheckpointChain {
     dir: PathBuf,
     prefix: String,
@@ -674,156 +737,67 @@ impl CheckpointChain {
         clean_stale_tmp(&self.dir, Some(&self.prefix))
     }
 
-    /// Snapshot id of the newest save, if any.
-    pub fn tip_snapshot_id(&self) -> Option<u64> {
-        self.tip.as_ref().map(|t| t.snapshot_id)
-    }
-
-    /// Number of deltas written since the last base (0 right after a base
-    /// or before any save).
-    pub fn deltas_since_base(&self) -> usize {
-        self.tip.as_ref().map_or(0, |t| t.deltas_since_base)
-    }
-
     /// Saves a snapshot, choosing delta or base automatically: the first
-    /// save is a base, subsequent saves are deltas until the policy's
-    /// chain-length or byte-ratio limit is reached, which forces a fresh
-    /// base (compaction).
+    /// save is a base, subsequent saves are deltas against the previous
+    /// save until the policy's chain-length or byte-ratio limit is
+    /// reached, which forces a fresh base (compaction).
     pub fn save<T: Persist>(
         &mut self,
         tracker: &T,
         cfg: &TrackerConfig,
         step: u64,
     ) -> Result<SaveReceipt, PersistError> {
-        let compact = match &self.tip {
-            None => true,
-            Some(tip) => {
-                tip.deltas_since_base >= self.policy.max_chain_len
-                    || tip.delta_bytes as f64 > self.policy.max_delta_ratio * tip.base_bytes as f64
-            }
-        };
-        if compact {
-            self.save_base(tracker, cfg, step)
-        } else {
-            self.save_delta(tracker, cfg, step)
-        }
-    }
-
-    /// Writes a self-contained base snapshot and restarts the chain on it.
-    pub fn save_base<T: Persist>(
-        &mut self,
-        tracker: &T,
-        cfg: &TrackerConfig,
-        step: u64,
-    ) -> Result<SaveReceipt, PersistError> {
-        // Drop the old tip before touching the disk: if the write fails,
-        // the next save starts a fresh base instead of chaining onto a
+        // Take the tip before touching the disk: if the write fails, the
+        // next save starts a fresh base instead of chaining onto a
         // snapshot whose on-disk fate is unknown.
-        self.tip = None;
-        let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
-        tracker.write_sections(&mut sink);
-        let (fresh, refs) = sink.counts();
-        let (payload, next) = sink.finish();
-        let (bytes, snapshot_id) = envelope::<T>(cfg, step, SnapshotKind::Base, 0, payload);
-        let path = self.write_file(step, snapshot_id, &bytes)?;
-        self.tip = Some(ChainTip {
-            snapshot_id,
-            parent: next,
-            deltas_since_base: 0,
-            base_bytes: bytes.len() as u64,
-            delta_bytes: 0,
+        let policy = &self.policy;
+        let tip = self.tip.take().filter(|tip| {
+            let compact = tip.deltas_since_base >= policy.max_chain_len
+                || tip.delta_bytes as f64 > policy.max_delta_ratio * tip.base_bytes as f64;
+            !compact
         });
-        Ok(SaveReceipt {
-            path,
-            snapshot_id,
-            kind: SnapshotKind::Base,
-            bytes: bytes.len() as u64,
-            fresh_sections: fresh,
-            ref_sections: refs,
-        })
-    }
-
-    /// Writes a delta against the current tip. Falls back to
-    /// [`CheckpointChain::save_base`] when there is no tip yet (a delta
-    /// needs a parent).
-    pub fn save_delta<T: Persist>(
-        &mut self,
-        tracker: &T,
-        cfg: &TrackerConfig,
-        step: u64,
-    ) -> Result<SaveReceipt, PersistError> {
-        // Take the tip for the same crash-safety reason as `save_base`: a
-        // failed write must not leave the chain pointing at a snapshot
-        // that may not exist on disk.
-        let Some(tip) = self.tip.take() else {
-            return self.save_base(tracker, cfg, step);
-        };
-        let mut sink = codec::SectionSink::new(tip.parent.clone());
-        tracker.write_sections(&mut sink);
-        let (fresh, refs) = sink.counts();
-        let (payload, next) = sink.finish();
-        let (bytes, snapshot_id) =
-            envelope::<T>(cfg, step, SnapshotKind::Delta, tip.snapshot_id, payload);
-        let path = self.write_file(step, snapshot_id, &bytes)?;
-        self.tip = Some(ChainTip {
-            snapshot_id,
-            parent: next,
-            deltas_since_base: tip.deltas_since_base + 1,
-            base_bytes: tip.base_bytes,
-            delta_bytes: tip.delta_bytes + bytes.len() as u64,
-        });
-        Ok(SaveReceipt {
-            path,
-            snapshot_id,
-            kind: SnapshotKind::Delta,
-            bytes: bytes.len() as u64,
-            fresh_sections: fresh,
-            ref_sections: refs,
-        })
-    }
-
-    /// Path of the newest checkpoint in the chain's directory (by
-    /// zero-padded step in the filename), or `None` when no chain file
-    /// exists yet. Useful after a restart, when the in-memory tip is gone.
-    pub fn latest_path(&self) -> Result<Option<PathBuf>, PersistError> {
-        let mut best: Option<PathBuf> = None;
-        let entries = match std::fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let want_prefix = format!("{}-", self.prefix);
-        for entry in entries {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if !name.starts_with(&want_prefix) || !name.ends_with(".tdnc") {
-                continue;
-            }
-            if best
-                .as_ref()
-                .and_then(|b| b.file_name().and_then(|n| n.to_str()))
-                .is_none_or(|b| name > b)
-            {
-                best = Some(path);
-            }
-        }
-        Ok(best)
-    }
-
-    fn write_file(
-        &self,
-        step: u64,
-        snapshot_id: u64,
-        bytes: &[u8],
-    ) -> Result<PathBuf, PersistError> {
+        let chained = tip
+            .as_ref()
+            .map(|t| (t.deltas_since_base, t.base_bytes, t.delta_bytes));
+        let ((bytes, next, snapshot_id), (fresh, refs)) =
+            encode(tracker, cfg, step, tip.map(|t| (t.parent, t.snapshot_id)));
         self.io.create_dir_all(&self.dir)?;
         let path = self
             .dir
-            .join(format!("{}-{step:08}-{snapshot_id:016x}.tdnc", self.prefix));
-        write_atomic_with(self.io.as_ref(), &path, bytes)?;
-        Ok(path)
+            .join(ChainLink::file_name(&self.prefix, step, snapshot_id));
+        write_atomic_with(self.io.as_ref(), &path, &bytes)?;
+        let len = bytes.len() as u64;
+        let (kind, deltas_since_base, base_bytes, delta_bytes) = match chained {
+            Some((deltas, base, delta)) => (SnapshotKind::Delta, deltas + 1, base, delta + len),
+            None => (SnapshotKind::Base, 0, len, 0),
+        };
+        self.tip = Some(ChainTip {
+            snapshot_id,
+            parent: next,
+            deltas_since_base,
+            base_bytes,
+            delta_bytes,
+        });
+        Ok(SaveReceipt {
+            path,
+            snapshot_id,
+            kind,
+            bytes: len,
+            fresh_sections: fresh,
+            ref_sections: refs,
+        })
+    }
+
+    /// Path of the chain's newest link in its directory (by numeric
+    /// step), or `None` when the chain has no file yet. Useful after a
+    /// restart, when the in-memory tip is gone.
+    pub fn latest_path(&self) -> Result<Option<PathBuf>, PersistError> {
+        let (links, _) = list_chain_links(&self.dir)?;
+        Ok(links
+            .into_iter()
+            .rev()
+            .find(|l| l.prefix == self.prefix)
+            .map(|l| l.path))
     }
 }
 
@@ -1092,7 +1066,7 @@ mod tests {
             assert_eq!(r.kind, SnapshotKind::Delta, "t={t}");
             receipts.push(r);
         }
-        // Restore from the newest delta; parents resolve by directory scan.
+        // Restore from the newest delta; parents resolve by name.
         let tip = receipts.last().unwrap();
         let (step, mut warm): (u64, SieveAdnTracker) = load_checkpoint(&tip.path, &cfg).unwrap();
         assert_eq!(step, 6);
@@ -1130,9 +1104,6 @@ mod tests {
                 return Err(std::io::Error::from_raw_os_error(5)); // EIO
             }
             std::fs::rename(from, to)
-        }
-        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-            std::fs::read(path)
         }
         fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
             std::fs::create_dir_all(path)
@@ -1244,6 +1215,125 @@ mod tests {
             };
             assert_eq!(*kind, expected, "save {i}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A chain of one base and two deltas saved through a permissive
+    /// policy (every follow-up save stays a delta).
+    fn sieve_chain(dir: &Path) -> (TrackerConfig, Vec<SaveReceipt>) {
+        let (cfg, mut live) = small_sieve();
+        std::fs::remove_dir_all(dir).ok();
+        let mut chain = CheckpointChain::new(dir, "sieve").with_policy(CompactionPolicy {
+            max_chain_len: 64,
+            max_delta_ratio: 1e9,
+        });
+        let mut receipts = vec![chain.save(&live, &cfg, 2).unwrap()];
+        for t in 2..4 {
+            live.step(t, &batch_for(t));
+            receipts.push(chain.save(&live, &cfg, t + 1).unwrap());
+        }
+        (cfg, receipts)
+    }
+
+    #[test]
+    fn latest_path_orders_steps_numerically() {
+        // Past step 99,999,999 the step field outgrows its zero padding, so
+        // name order is no longer step order.
+        let (cfg, live) = small_hist();
+        let dir = std::env::temp_dir().join("tdn_persist_latest_numeric");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut chain = CheckpointChain::new(&dir, "h");
+        chain.save(&live, &cfg, 99_999_999).unwrap();
+        let newest = chain.save(&live, &cfg, 100_000_000).unwrap();
+        assert_eq!(chain.latest_path().unwrap(), Some(newest.path));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn latest_path_ignores_chains_that_extend_the_prefix() {
+        let (cfg, live) = small_hist();
+        let dir = std::env::temp_dir().join("tdn_persist_latest_prefix");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut a = CheckpointChain::new(&dir, "a");
+        let mine = a.save(&live, &cfg, 2).unwrap();
+        CheckpointChain::new(&dir, "a-b")
+            .save(&live, &cfg, 5)
+            .unwrap();
+        assert_eq!(a.latest_path().unwrap(), Some(mine.path));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn chain_links_skip_tmp_and_count_foreign_files() {
+        let dir = std::env::temp_dir().join("tdn_persist_list_links");
+        let (_, receipts) = sieve_chain(&dir);
+        std::fs::write(dir.join("sieve-00000009-00000000deadbeef.tmp"), b"torn").unwrap();
+        std::fs::write(dir.join("alien.tdnc"), b"???").unwrap();
+        std::fs::write(dir.join("notes.txt"), b"").unwrap();
+        let (links, foreign) = list_chain_links(&dir).unwrap();
+        let paths: Vec<&Path> = links.iter().map(|l| l.path.as_path()).collect();
+        let saved: Vec<&Path> = receipts.iter().map(|r| r.path.as_path()).collect();
+        assert_eq!(paths, saved, "oldest first, no tmp");
+        assert_eq!(foreign, 1, "alien.tdnc only");
+        for (link, receipt) in links.iter().zip(&receipts) {
+            assert_eq!(link.prefix, "sieve");
+            assert_eq!(link.snapshot_id, receipt.snapshot_id);
+            assert_eq!(ChainLink::parse(&link.path).as_ref(), Some(link));
+        }
+        assert_eq!(
+            list_chain_links(&dir.join("missing")).unwrap(),
+            (Vec::new(), 0)
+        );
+        // Only the exact written form is a link.
+        for name in [
+            "sieve-2-00000000deadbeef.tdnc",
+            "sieve-00000002-DEADBEEF00000000.tdnc",
+        ] {
+            assert_eq!(ChainLink::parse(Path::new(name)), None, "{name}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_parent_renamed_by_hand_is_a_missing_base() {
+        let dir = std::env::temp_dir().join("tdn_persist_renamed_parent");
+        let (cfg, receipts) = sieve_chain(&dir);
+        let parent = &receipts[1];
+        std::fs::rename(&parent.path, dir.join("sieve-parent.tdnc")).unwrap();
+        let err = expect_err(load_checkpoint::<SieveAdnTracker>(&receipts[2].path, &cfg));
+        assert!(
+            matches!(err, PersistError::MissingBase { snapshot_id } if snapshot_id == parent.snapshot_id),
+            "{err}"
+        );
+        // The walk falls back to the older link, whose chain is intact.
+        let links = list_chain_links(&dir).unwrap().0;
+        match load_newest::<SieveAdnTracker>(&links, &cfg) {
+            Ok((step, _, fallbacks)) => assert_eq!((step, fallbacks), (2, 1)),
+            Err(e) => panic!("no link restored: {e}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_file_named_for_the_parent_but_holding_another_snapshot_is_refused() {
+        let dir = std::env::temp_dir().join("tdn_persist_impostor_parent");
+        let (cfg, receipts) = sieve_chain(&dir);
+        let (tip, parent) = (&receipts[2].path, &receipts[1].path);
+        let genuine = std::fs::read(parent).unwrap();
+        for impostor in [&receipts[0].path, tip] {
+            std::fs::write(parent, std::fs::read(impostor).unwrap()).unwrap();
+            let err = expect_err(load_checkpoint::<SieveAdnTracker>(tip, &cfg));
+            assert!(
+                matches!(
+                    err,
+                    PersistError::MissingBase { .. } | PersistError::ChainCycle { .. }
+                ),
+                "{err}"
+            );
+        }
+        std::fs::write(parent, genuine).unwrap();
+        let (step, _): (u64, SieveAdnTracker) = load_checkpoint(tip, &cfg).unwrap();
+        assert_eq!(step, 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -41,15 +41,19 @@
 //! ## Failover
 //!
 //! Tenants checkpoint through `tdn-persist` delta chains (cadence-driven
-//! or via [`Server::checkpoint_all`]). [`Server::recover`] scans the
-//! chain directory, restores every tenant from its newest link, and
-//! relies on *idempotent at-least-once ingestion* for the tail: the
-//! front-end replays its stream from anywhere at or before the crash,
-//! and the per-tenant watermark (`t ≤ last_t` ⇒ skip, counted in
+//! or via [`Server::checkpoint_all`]), one chain per tenant under the
+//! prefix `tenant-{id:016x}`. Persist owns the chain files — their names,
+//! the directory listing, parent lookup and newest-first order — and this
+//! crate only maps prefixes to tenants: [`Server::recover`] lists the
+//! directory once and restores every tenant from its newest link that
+//! restores, and relies on *idempotent at-least-once ingestion* for the
+//! tail: the front-end replays its stream from anywhere at or before the
+//! crash, and the per-tenant watermark (`t ≤ last_t` ⇒ skip, counted in
 //! [`FlushReport::skipped`]) drops what was already applied. Restore +
 //! replay therefore converges on the uninterrupted run's state
 //! bit-identically (the persist layer's warm-restart guarantee), which
-//! the `serve` experiment asserts end-to-end.
+//! `tests/serve_identity.rs` asserts for every tracker family and
+//! servebench's `durable_basic` recovery drill checks end to end.
 //!
 //! ## Fault model (chaos hardening)
 //!

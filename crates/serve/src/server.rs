@@ -9,7 +9,9 @@ use std::sync::Arc;
 use tdn_core::{Solution, TrackerConfig, TrackerEngine};
 use tdn_faults::{FaultKind, FaultPlan, FaultyIo};
 use tdn_graph::{Published, Time};
-use tdn_persist::{clean_stale_tmp, load_checkpoint, CheckpointChain, Persist};
+use tdn_persist::{
+    clean_stale_tmp, list_chain_links, load_newest, ChainLink, CheckpointChain, Persist,
+};
 use tdn_streams::TimedEdge;
 
 use crate::error::ServeError;
@@ -193,7 +195,9 @@ pub struct FlushReport {
 }
 
 impl FlushReport {
-    fn absorb(&mut self, other: FlushReport) {
+    /// Merges another report into this one (public for harnesses that
+    /// aggregate across many flushes).
+    pub fn merge(&mut self, other: &FlushReport) {
         self.steps += other.steps;
         self.events += other.events;
         self.skipped += other.skipped;
@@ -209,12 +213,6 @@ impl FlushReport {
         self.shed_events += other.shed_events;
         self.rejected_batches += other.rejected_batches;
         self.rejected_events += other.rejected_events;
-    }
-
-    /// Merges another report into this one (public for harnesses that
-    /// aggregate across many flushes).
-    pub fn merge(&mut self, other: &FlushReport) {
-        self.absorb(*other);
     }
 
     /// Events that left the pipeline without being applied, all causes.
@@ -275,17 +273,18 @@ struct TenantState<T> {
 }
 
 impl<T: TrackerEngine + Persist> TenantState<T> {
-    fn fresh(tenant: TenantId, cfg: &ServeConfig) -> Self {
-        let engine = T::from_config(&cfg.tracker);
+    /// A healthy tenant serving `engine` at watermark `last_t`, publishing
+    /// the engine's standing answer (empty for a fresh engine).
+    fn new(tenant: TenantId, engine: T, last_t: Option<Time>, cfg: &ServeConfig) -> Self {
         TenantState {
             published: Arc::new(Published::new(TenantSnapshot {
                 tenant,
-                t: None,
-                solution: Solution::empty(),
+                t: last_t,
+                solution: engine.query(),
                 oracle_calls: engine.oracle_calls(),
             })),
             engine,
-            last_t: None,
+            last_t,
             chain: make_chain(cfg, tenant),
             ticks_since_save: 0,
             health: HealthState::Healthy,
@@ -434,39 +433,22 @@ fn tenant_prefix(tenant: TenantId) -> String {
     format!("tenant-{tenant:016x}")
 }
 
-/// Parses the tenant id back out of a chain filename
-/// (`tenant-{id:016x}-{step:08}-{snapshot:016x}.tdnc`).
-fn tenant_of_filename(name: &str) -> Option<TenantId> {
-    let hex = name.strip_prefix("tenant-")?.get(..16)?;
-    TenantId::from_str_radix(hex, 16).ok()
+/// The tenant a chain prefix names: the inverse of [`tenant_prefix`].
+fn tenant_of_prefix(prefix: &str) -> Option<TenantId> {
+    let tenant = TenantId::from_str_radix(prefix.strip_prefix("tenant-")?, 16).ok()?;
+    (tenant_prefix(tenant) == prefix).then_some(tenant)
 }
 
-/// Restores a tenant's engine from the newest of its chain files that
-/// restores, falling back to older ones on error, and re-arms the
-/// configured memory budget (checkpoints never carry it). Returns the
-/// resume step, the engine and how many newer links failed first, or the
-/// last link's error as `"{file}: {error}"`.
+/// Persist's newest-first walk over one tenant's links, re-arming the
+/// configured memory budget on the restored engine (checkpoints never
+/// carry it).
 fn restore_newest<T: TrackerEngine + Persist>(
-    mut paths: Vec<PathBuf>,
+    links: &[ChainLink],
     cfg: &TrackerConfig,
 ) -> Result<(u64, T, u64), String> {
-    // Filenames embed the zero-padded step, so lexicographically
-    // descending order is newest-first.
-    paths.sort_unstable_by(|a, b| b.cmp(a));
-    let mut last_err = String::new();
-    for (failed, path) in (0u64..).zip(&paths) {
-        match load_checkpoint::<T>(path, cfg) {
-            Ok((step, mut engine)) => {
-                engine.set_memory_budget(cfg.memory_budget);
-                return Ok((step, engine, failed));
-            }
-            Err(e) => {
-                let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
-                last_err = format!("{}: {e}", name.unwrap_or_default());
-            }
-        }
-    }
-    Err(last_err)
+    let (step, mut engine, fallbacks) = load_newest::<T>(links, cfg)?;
+    engine.set_memory_budget(cfg.memory_budget);
+    Ok((step, engine, fallbacks))
 }
 
 fn save_tenant<T: TrackerEngine + Persist>(
@@ -625,10 +607,9 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
             }
         }
         shard.pending.push_back((tenant, t, edges));
-        shard
-            .tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantState::fresh(tenant, &self.cfg));
+        shard.tenants.entry(tenant).or_insert_with(|| {
+            TenantState::new(tenant, T::from_config(&self.cfg.tracker), None, &self.cfg)
+        });
         Ok(())
     }
 
@@ -651,7 +632,7 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
             if let Some(e) = shard.error.take() {
                 return Err(e);
             }
-            report.absorb(std::mem::take(&mut shard.report));
+            report.merge(&std::mem::take(&mut shard.report));
         }
         Ok(report)
     }
@@ -791,50 +772,25 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
             stale_tmp_removed: clean_stale_tmp(&dir, None).map_or(0, |v| v.len()),
             ..Default::default()
         };
-        // All chain files per tenant.
-        let mut files: BTreeMap<TenantId, Vec<PathBuf>> = BTreeMap::new();
-        let entries = match std::fs::read_dir(&dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((server, report)),
-            Err(e) => return Err(e.into()),
-        };
-        for entry in entries {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+        let (links, foreign) = list_chain_links(&dir)?;
+        report.foreign_files = foreign;
+        // Links sort by prefix, so each tenant's chain is one run, and
+        // tenants come out ascending.
+        for chain in links.chunk_by(|a, b| a.prefix == b.prefix) {
+            let Some(tenant) = tenant_of_prefix(&chain[0].prefix) else {
+                report.foreign_files += chain.len();
                 continue;
             };
-            if !name.ends_with(".tdnc") {
-                continue;
-            }
-            let Some(tenant) = tenant_of_filename(name) else {
-                report.foreign_files += 1;
-                continue;
-            };
-            files.entry(tenant).or_default().push(path);
-        }
-        for (tenant, paths) in files {
-            let state = match restore_newest::<T>(paths, &server.cfg.tracker) {
+            let state = match restore_newest::<T>(chain, &server.cfg.tracker) {
                 Ok((step, engine, fallbacks)) => {
                     report.fallbacks += fallbacks;
                     report.recovered.push(tenant);
-                    let last_t = step.checked_sub(1);
-                    TenantState {
-                        published: Arc::new(Published::new(TenantSnapshot {
-                            tenant,
-                            t: last_t,
-                            solution: engine.query(),
-                            oracle_calls: engine.oracle_calls(),
-                        })),
-                        engine,
-                        last_t,
-                        chain: make_chain(&server.cfg, tenant),
-                        ticks_since_save: 0,
-                        health: HealthState::Healthy,
-                    }
+                    TenantState::new(tenant, engine, step.checked_sub(1), &server.cfg)
                 }
                 Err(last_err) => {
                     report.quarantined.push((tenant, last_err.clone()));
-                    let mut state = TenantState::fresh(tenant, &server.cfg);
+                    let engine = T::from_config(&server.cfg.tracker);
+                    let mut state = TenantState::new(tenant, engine, None, &server.cfg);
                     state.health = HealthState::Quarantined {
                         reason: QuarantineReason::RecoveryFailed { detail: last_err },
                         since_tick: 0,
@@ -864,24 +820,10 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
             .checkpoint_dir
             .clone()
             .ok_or(ServeError::NoCheckpointDir)?;
-        let prefix = format!("{}-", tenant_prefix(tenant));
-        let mut paths: Vec<PathBuf> = Vec::new();
-        match std::fs::read_dir(&dir) {
-            Ok(entries) => {
-                for entry in entries {
-                    let path = entry?.path();
-                    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                        continue;
-                    };
-                    if name.starts_with(&prefix) && name.ends_with(".tdnc") {
-                        paths.push(path);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        let (last_t, engine) = match restore_newest::<T>(paths, &self.cfg.tracker) {
+        let prefix = tenant_prefix(tenant);
+        let (mut links, _) = list_chain_links(&dir)?;
+        links.retain(|l| l.prefix == prefix);
+        let (last_t, engine) = match restore_newest::<T>(&links, &self.cfg.tracker) {
             Ok((step, engine, _)) => (step.checked_sub(1), engine),
             Err(_) => (None, T::from_config(&self.cfg.tracker)),
         };
@@ -1163,10 +1105,33 @@ mod tests {
     }
 
     #[test]
+    fn recover_orders_links_by_numeric_step() {
+        // Resume steps 99,999,999 and 100,000,000: the second outgrows the
+        // eight-digit padding, so name order would restore the older link.
+        let dir = std::env::temp_dir().join("tdn_serve_unit_numeric_steps");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServeConfig::new(1, tcfg()).with_checkpoints(&dir, 1);
+        let mut server = Server::<SieveAdnTracker>::new(cfg.clone()).unwrap();
+        for t in [99_999_998, 99_999_999] {
+            server
+                .submit_batch(0, t, vec![TimedEdge::new(1u32, 2u32, 3)])
+                .unwrap();
+            assert_eq!(server.flush().unwrap().checkpoints, 1);
+        }
+        drop(server);
+        let (server, rec) = Server::<SieveAdnTracker>::recover(cfg).unwrap();
+        assert_eq!(rec.recovered, vec![0]);
+        assert_eq!(rec.fallbacks, 0);
+        assert_eq!(server.last_t(0), Some(99_999_999));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn tenant_filenames_round_trip() {
-        let name = format!("{}-00000012-00000000deadbeef.tdnc", tenant_prefix(0xABCD));
-        assert_eq!(tenant_of_filename(&name), Some(0xABCD));
-        assert_eq!(tenant_of_filename("not-a-chain.tdnc"), None);
+        assert_eq!(tenant_of_prefix(&tenant_prefix(0xABCD)), Some(0xABCD));
+        assert_eq!(tenant_of_prefix(&tenant_prefix(u64::MAX)), Some(u64::MAX));
+        assert_eq!(tenant_of_prefix("not-a-chain"), None);
+        assert_eq!(tenant_of_prefix("tenant-abcd"), None, "not the padded form");
     }
 
     #[test]

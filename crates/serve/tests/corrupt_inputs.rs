@@ -11,6 +11,7 @@
 
 use std::path::{Path, PathBuf};
 use tdn_core::{SieveAdnTracker, TrackerConfig};
+use tdn_persist::{list_chain_links, read_manifest, SnapshotKind};
 use tdn_serve::{ServeConfig, Server, TenantId};
 use tdn_streams::TimedEdge;
 
@@ -68,21 +69,15 @@ fn recover_cfg(dir: &Path) -> ServeConfig {
     ServeConfig::new(2, tcfg()).with_checkpoints(dir, 2)
 }
 
-/// All chain links for one tenant, lexicographically ascending (oldest
-/// first, since filenames embed the zero-padded step).
+/// All chain links for one tenant, oldest first.
 fn links_of(dir: &Path, tenant: TenantId) -> Vec<PathBuf> {
-    let prefix = format!("tenant-{tenant:016x}-");
-    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("read_dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".tdnc"))
-        })
-        .collect();
-    out.sort();
-    out
+    let prefix = format!("tenant-{tenant:016x}");
+    let (links, _) = list_chain_links(dir).expect("list chain links");
+    links
+        .into_iter()
+        .filter(|l| l.prefix == prefix)
+        .map(|l| l.path)
+        .collect()
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -181,6 +176,40 @@ fn bit_flipped_tip_falls_back_by_checksum() {
     assert!(rec.fallbacks >= 1);
     assert!(rec.recovered.contains(&victim));
     assert!(rec.quarantined.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn renamed_parent_is_a_missing_base_and_recovery_falls_back() {
+    let dir = scratch("renamed_parent");
+    let pristine = seed_dir(&dir);
+    // A tenant whose newest link is a delta; its parent loses the chain
+    // name (a rename by hand), which hides it from the lookup by name.
+    let (victim, parent_id) = (0..TENANTS)
+        .find_map(|tenant| {
+            let m = read_manifest(links_of(&dir, tenant).last()?).ok()?;
+            (m.snapshot_kind == SnapshotKind::Delta).then_some((tenant, m.parent_id))
+        })
+        .expect("some tenant's newest link is a delta");
+    let parent = links_of(&dir, victim)
+        .into_iter()
+        .find(|p| read_manifest(p).is_ok_and(|m| m.snapshot_id == parent_id))
+        .expect("the parent is a link of the same chain");
+    std::fs::rename(&parent, dir.join("renamed-by-hand.tdnc")).unwrap();
+
+    let (mut server, rec) = Server::<SieveAdnTracker>::recover(recover_cfg(&dir)).expect("recover");
+    assert!(
+        rec.fallbacks >= 1,
+        "the orphaned tip must be skipped: {rec:?}"
+    );
+    assert_eq!(rec.foreign_files, 1, "the renamed parent is foreign");
+    assert!(rec.recovered.contains(&victim), "an older link restores");
+    assert!(rec.quarantined.is_empty());
+    replay(&mut server);
+    assert_eq!(
+        server.query(victim).unwrap().solution,
+        pristine.query(victim).unwrap().solution
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
