@@ -9,8 +9,8 @@
 //!        │ submit / submit_batch        readers (any thread)
 //!        ▼                                   ▲ Arc<TenantSnapshot>
 //!   per-shard pending queues            Published cells (epoch-swapped)
-//!        │ flush: shards drain in            ▲ publish after every tick
-//!        ▼ parallel on the exec pool         │
+//!        │ flush: busy shards drain in       ▲ flush publishes every tick
+//!        ▼ parallel on the exec pool         │ after the shards join
 //!   Shard 0 … Shard S-1  ── tenant engines ──┘
 //!        │ cadence / checkpoint_all
 //!        ▼
@@ -21,19 +21,21 @@
 //!
 //! A tenant lives on shard `splitmix64(tenant) % shards` — a pure
 //! function of the id and the configuration, never of arrival order or
-//! the worker schedule. [`Server::flush`] drains shards in parallel
-//! (work-stealing over the `exec` pool; per-shard load is Zipf-skewed),
-//! but each shard applies its tenants' batches serially in submission
-//! order. A tenant therefore sees exactly the `(t, batch)` sequence the
-//! front-end submitted, regardless of `TDN_THREADS` or the shard count,
-//! and each engine step is itself bit-identical at any thread count (the
-//! repo-wide determinism guarantee) — so served solutions and oracle
-//! tallies are bit-identical to a dedicated single-tenant run.
+//! the worker schedule. [`Server::flush`] drains the shards with pending
+//! batches in parallel (work-stealing over the `exec` pool; per-shard load
+//! is Zipf-skewed), but each shard applies its tenants' batches serially in
+//! submission order. A tenant therefore sees exactly the `(t, batch)`
+//! sequence the front-end submitted, regardless of `TDN_THREADS` or the
+//! shard count, and each engine step is itself bit-identical at any thread
+//! count (the repo-wide determinism guarantee) — so served solutions and
+//! oracle tallies are bit-identical to a dedicated single-tenant run.
 //!
 //! ## Reads never block ingest
 //!
 //! Every processed tick publishes an immutable [`TenantSnapshot`] into
-//! the tenant's epoch-swapped [`Published`](tdn_graph::Published) cell.
+//! the tenant's epoch-swapped [`Published`](tdn_graph::Published) cell:
+//! [`Server::flush`] publishes them on its calling thread after the shards
+//! join, one publish per applied step, all before it returns.
 //! [`SnapshotReader`]s hold the cell by `Arc` and load the current
 //! snapshot with an O(1) pointer clone — no reader ever waits on a step,
 //! and a flush never waits on readers.

@@ -316,6 +316,10 @@ struct Shard<T> {
     /// NOT land here — they go through the tenant health machine.
     error: Option<ServeError>,
     report: FlushReport,
+    /// The snapshot of every step the current drain applied, with its
+    /// tenant's cell, in drain order: `flush` publishes them after the
+    /// shards join.
+    applied: Vec<(Arc<Published<TenantSnapshot>>, TenantSnapshot)>,
     /// Scratch for the current `checkpoint_all` sweep.
     ck: CheckpointSummary,
 }
@@ -327,17 +331,20 @@ impl<T: TrackerEngine + Persist> Shard<T> {
             pending: VecDeque::new(),
             error: None,
             report: FlushReport::default(),
+            applied: Vec::new(),
             ck: CheckpointSummary::default(),
         }
     }
 
-    /// Processes the pending queue in arrival order. Runs inside an
-    /// `exec` worker: everything here is intentionally serial — the
-    /// determinism argument needs each tenant to see its batches in
-    /// submission order, and nested `exec` calls inside tracker steps
-    /// degrade to serial anyway. Each engine step runs under
-    /// `catch_unwind`, so one tenant's panic quarantines that tenant and
-    /// nothing else.
+    /// Processes the pending queue in arrival order, as one share of
+    /// `flush`'s shard fan-out: everything here is intentionally serial —
+    /// the determinism argument needs each tenant to see its batches in
+    /// submission order. Nested `exec` calls inside tracker steps run
+    /// serially whenever other shards are busy too (every share of a
+    /// fan-out does), and across the pool when this is the only busy
+    /// shard. Each engine step runs under `catch_unwind`, so one tenant's
+    /// panic quarantines that tenant and nothing else. Applied snapshots
+    /// queue in `applied` for `flush` to publish.
     fn drain(&mut self, cfg: &ServeConfig, tick: u64) {
         let pending = std::mem::take(&mut self.pending);
         for (tenant, t, edges) in pending {
@@ -394,12 +401,15 @@ impl<T: TrackerEngine + Persist> Shard<T> {
             if matches!(state.health, HealthState::Recovering { .. }) {
                 state.health = HealthState::Healthy;
             }
-            state.published.publish(TenantSnapshot {
-                tenant,
-                t: Some(t),
-                solution,
-                oracle_calls: state.engine.oracle_calls(),
-            });
+            self.applied.push((
+                Arc::clone(&state.published),
+                TenantSnapshot {
+                    tenant,
+                    t: Some(t),
+                    solution,
+                    oracle_calls: state.engine.oracle_calls(),
+                },
+            ));
             state.ticks_since_save += 1;
             if cfg.checkpoint_every > 0 && state.ticks_since_save >= cfg.checkpoint_every {
                 if let HealthState::Degraded {
@@ -613,20 +623,34 @@ impl<T: TrackerEngine + Persist + Send> Server<T> {
         Ok(())
     }
 
-    /// Processes every pending batch: shards drain in parallel across
-    /// the `exec` pool (stealing — per-shard load is skewed by tenant
-    /// activity), each shard serially in arrival order. Bit-identical
-    /// results at any `TDN_THREADS`: shard contents and per-tenant batch
-    /// order are pure functions of the submission sequence and the
-    /// routing hash, never of the worker schedule. Engine panics are
-    /// caught per tenant (quarantine), checkpoint failures feed the
-    /// health machine — `Err` here means an internal invariant broke,
+    /// Processes every pending batch: the shards with pending batches
+    /// drain in parallel across the `exec` pool (stealing — per-shard load
+    /// is skewed by tenant activity), each shard serially in arrival
+    /// order; a lone busy shard drains on this thread, and its tenants'
+    /// own fan-outs use the pool. Bit-identical results at any
+    /// `TDN_THREADS`: shard contents and per-tenant batch order are pure
+    /// functions of the submission sequence and the routing hash, never of
+    /// the worker schedule. After the shards join, this thread publishes
+    /// every applied step's snapshot — in shard order, then drain order,
+    /// one publish per step — before returning, `Err` included. Engine
+    /// panics are caught per tenant (quarantine), checkpoint failures feed
+    /// the health machine — `Err` here means an internal invariant broke,
     /// not a tenant fault.
     pub fn flush(&mut self) -> Result<FlushReport, ServeError> {
         self.tick += 1;
         let tick = self.tick;
         let cfg = &self.cfg;
-        exec::par_for_each_mut_steal(&mut self.shards, |shard| shard.drain(cfg, tick));
+        let mut busy: Vec<&mut Shard<T>> = self
+            .shards
+            .iter_mut()
+            .filter(|shard| !shard.pending.is_empty())
+            .collect();
+        exec::par_for_each_mut_steal(&mut busy, |shard| shard.drain(cfg, tick));
+        for shard in &mut self.shards {
+            for (cell, snapshot) in shard.applied.drain(..) {
+                cell.publish(snapshot);
+            }
+        }
         let mut report = FlushReport::default();
         for shard in &mut self.shards {
             if let Some(e) = shard.error.take() {
@@ -966,14 +990,22 @@ mod tests {
         let epoch_before = reader.epoch();
         let snap = reader.load();
         let t_held = snap.t;
-        // Ingest more while the reader holds its snapshot.
-        server
-            .submit_batch(1, 1_000, vec![TimedEdge::new(3u32, 4u32, 2)])
-            .expect("submit");
-        server.flush().expect("flush");
-        assert!(reader.epoch() > epoch_before);
+        // Ingest more while the reader holds its snapshot: two ticks for
+        // the read tenant and one for a tenant on the other shard, so the
+        // flush fans out over both shards.
+        let other = (0..6)
+            .find(|&t| server.shard_of(t) != server.shard_of(1))
+            .expect("a tenant on the other shard");
+        for (tenant, t) in [(1, 1_000), (other, 1_000), (1, 1_001)] {
+            server
+                .submit_batch(tenant, t, vec![TimedEdge::new(3u32, 4u32, 2)])
+                .expect("submit");
+        }
+        let report = exec::with_threads(2, || server.flush()).expect("flush");
+        assert_eq!(report.steps, 3);
+        assert_eq!(reader.epoch(), epoch_before + 2, "one publish per step");
         assert_eq!(snap.t, t_held, "old snapshot must be unaffected");
-        assert_eq!(reader.load().t, Some(1_000), "new snapshot visible");
+        assert_eq!(reader.load().t, Some(1_001), "the later tick is visible");
     }
 
     #[test]

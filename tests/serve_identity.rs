@@ -126,7 +126,7 @@ fn direct_fingerprints<T: TrackerEngine + Persist + Send>(threads: usize) -> Vec
 
 fn identity_grid<T: TrackerEngine + Persist + Send>(label: &str) {
     let reference = direct_fingerprints::<T>(1);
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4] {
         let direct = direct_fingerprints::<T>(threads);
         assert_eq!(
             direct, reference,
