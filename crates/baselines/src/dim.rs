@@ -26,7 +26,7 @@ use crate::rr::{extend_rr_on_insert, sample_rr, RrSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdn_core::{InfluenceObjective, InfluenceTracker, Solution, TrackerConfig};
-use tdn_graph::{FxHashMap, FxHashSet, Lifetime, NodeId, OutGraph, TdnGraph, Time};
+use tdn_graph::{FxHashMap, FxHashSet, Graph, Lifetime, NodeId, TdnGraph, Time};
 use tdn_streams::TimedEdge;
 use tdn_submodular::OracleCounter;
 

@@ -142,7 +142,7 @@ fn bench_lanes_64(c: &mut Criterion) {
         })
     });
     let mut counts = vec![0u64; sources.len()];
-    c.bench_function("micro/spreads_64_batch64", |b| {
+    c.bench_function("micro/spreads_64_lanes64", |b| {
         b.iter(|| {
             reach_count_batch_wide(
                 &g,
@@ -197,7 +197,7 @@ fn bench_wide_lanes(c: &mut Criterion) {
     let sources: Vec<NodeId> = (0..MAX_BATCH_LANES as u32).map(NodeId).collect();
     let mut scratch = ReachScratch::new();
     let mut counts = vec![0u64; BATCH_LANES];
-    c.bench_function("micro/spreads_256_batch64_x4", |b| {
+    c.bench_function("micro/spreads_256_lanes64_x4", |b| {
         b.iter(|| {
             let mut total = 0u64;
             for chunk in sources.chunks(BATCH_LANES) {

@@ -79,7 +79,7 @@ impl Envelope {
 /// ε-envelope itself).
 fn audit_pool(
     pool: &SketchPool,
-    g: &(impl tdn_graph::OutGraph + Sync),
+    g: &(impl tdn_graph::Graph + Sync),
     scratch: &mut ReachScratch,
     env: &mut Envelope,
 ) {

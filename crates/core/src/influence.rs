@@ -6,18 +6,18 @@
 //! (a node reaches itself). The objective state is the reach cover of the
 //! current seed set; marginal gains are pruned BFS counts.
 
-use tdn_graph::{marginal_gain, reach::CoverSet, NodeId, OutGraph, ReachScratch};
+use tdn_graph::{marginal_gain, reach::CoverSet, Graph, NodeId, ReachScratch};
 use tdn_submodular::{IncrementalObjective, OracleCounter};
 
 /// Influence spread over a borrowed graph snapshot.
-pub struct InfluenceObjective<'g, G: OutGraph> {
+pub struct InfluenceObjective<'g, G: Graph> {
     graph: &'g G,
     scratch: ReachScratch,
     gained: Vec<NodeId>,
     counter: OracleCounter,
 }
 
-impl<'g, G: OutGraph> InfluenceObjective<'g, G> {
+impl<'g, G: Graph> InfluenceObjective<'g, G> {
     /// Creates the objective over `graph`, charging oracle calls to
     /// `counter`.
     pub fn new(graph: &'g G, counter: OracleCounter) -> Self {
@@ -52,7 +52,7 @@ impl<'g, G: OutGraph> InfluenceObjective<'g, G> {
     }
 }
 
-impl<G: OutGraph> IncrementalObjective for InfluenceObjective<'_, G> {
+impl<G: Graph> IncrementalObjective for InfluenceObjective<'_, G> {
     type Elem = NodeId;
     type State = CoverSet;
 

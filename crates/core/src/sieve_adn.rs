@@ -50,7 +50,7 @@ use std::collections::BTreeMap;
 use tdn_graph::{
     lane_chunks, lane_width_for, marginal_gain, reach_count, reach_count_batch_wide,
     reverse_reach_batch_wide, reverse_reach_collect, reverse_reach_union_ordered, AdnGraph,
-    CoverSet, EdgeInsert, FxHashMap, FxHashSet, NodeId, OutGraph, ScratchPool, SketchParams,
+    CoverSet, EdgeInsert, FxHashMap, FxHashSet, Graph, NodeId, ScratchPool, SketchParams,
     SketchPool, SpreadMemo, SpreadStats, SpreadStatsSnapshot, SweepDirection, Time,
     MAX_BATCH_LANES,
 };

@@ -14,7 +14,7 @@ use crate::arena::{AdjPool, SNAPSHOT_CHUNK};
 use crate::hash::FxHashSet;
 use crate::node::{pack_pair, NodeId};
 use crate::reach::{reverse_reachable_within, ReachScratch};
-use crate::traits::{InGraph, OutGraph};
+use crate::traits::Graph;
 
 /// How an [`AdnGraph::add_edge_classified`] insertion affected
 /// reachability — the epoch-level event the incremental spread engine's
@@ -327,11 +327,18 @@ impl std::fmt::Debug for AdnGraph {
     }
 }
 
-impl OutGraph for AdnGraph {
+impl Graph for AdnGraph {
     #[inline]
     fn for_each_out(&self, u: NodeId, mut f: impl FnMut(NodeId)) {
         for &v in self.out_neighbors(u) {
             f(v);
+        }
+    }
+
+    #[inline]
+    fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
+        for &u in self.in_neighbors(v) {
+            f(u);
         }
     }
 
@@ -353,15 +360,6 @@ impl OutGraph for AdnGraph {
     #[inline]
     fn prefetch_out(&self, u: NodeId) {
         self.out.prefetch(u.index());
-    }
-}
-
-impl InGraph for AdnGraph {
-    #[inline]
-    fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
-        for &u in self.in_neighbors(v) {
-            f(u);
-        }
     }
 
     #[inline]

@@ -8,7 +8,7 @@
 //! gives tests an independent oracle to cross-check the BFS path.
 
 use crate::node::NodeId;
-use crate::traits::OutGraph;
+use crate::traits::Graph;
 
 /// Strongly connected components of a graph snapshot, with the condensation
 /// DAG and per-node exact reach counts.
@@ -67,7 +67,7 @@ impl Condensation {
 /// Computes the SCC condensation of the nodes in `nodes` and the exact
 /// reach count of every node, using an iterative Tarjan plus bitset DAG
 /// propagation (exact set-union semantics, O(V·C/64) words).
-pub fn condense<G: OutGraph>(g: &G, nodes: impl IntoIterator<Item = NodeId>) -> Condensation {
+pub fn condense<G: Graph>(g: &G, nodes: impl IntoIterator<Item = NodeId>) -> Condensation {
     let nodes: Vec<NodeId> = nodes.into_iter().collect();
     let bound = g
         .node_index_bound()

@@ -7,6 +7,9 @@
 //! on, plus the reachability machinery that implements the influence-spread
 //! oracle of Definition 3:
 //!
+//! * [`traits::Graph`] — the one access trait (out- and in-adjacency, node
+//!   bound, liveness) that both graphs implement and every traversal is
+//!   generic over;
 //! * [`adn::AdnGraph`] — the append-only (addition-only) network each
 //!   SIEVEADN instance accumulates (Example 3);
 //! * [`tdn::TdnGraph`] — the live time-decaying network `G_t` with
@@ -17,9 +20,11 @@
 //!   contiguous buffer, with per-size-class block recycling;
 //! * [`bitset::NodeBitSet`] — dense `u64`-word node set backing
 //!   [`reach::CoverSet`];
-//! * [`reach`] — BFS reachability with reusable scratch (pooled per worker
-//!   for parallel callers), incremental cover sets, pruned marginal-gain
-//!   evaluation, and 64/128/256-lane bit-parallel multi-source traversals
+//! * [`reach`] — reachability on two kernels over one edge-orientation
+//!   type: a scalar BFS with reusable scratch (pooled per worker for
+//!   parallel callers) for single answers — spreads, pruned marginal gains
+//!   against incremental cover sets, ancestor lists — and a 64/128/256-lane
+//!   bit-parallel label sweep for lane batches
 //!   ([`reach::reverse_reach_batch`], [`reach::reach_count_batch`]);
 //! * [`sketch`] — reverse-reachable sketch pool: a bounded-error spread
 //!   estimator with an explicit (ε, δ) budget, maintained deterministically
@@ -70,13 +75,12 @@ pub use indexed_set::IndexedSet;
 pub use node::{pack_pair, unpack_pair, Lifetime, NodeId, NodeInterner, Time};
 pub use publish::Published;
 pub use reach::{
-    bottom_up_sweeps, extend_cover, lane_chunks, lane_width_for, marginal_gain, reach_collect,
-    reach_count, reach_count_batch, reach_count_batch_wide, reverse_reach_batch,
-    reverse_reach_batch_wide, reverse_reach_collect, reverse_reach_excluding,
-    reverse_reach_multi_collect, reverse_reach_union_ordered, reverse_reachable_within, CoverSet,
-    ReachScratch, ScratchPool, SpreadMemo, SpreadStats, SpreadStatsSnapshot, SweepDirection,
-    BATCH_LANES, MAX_BATCH_LANES,
+    bottom_up_sweeps, lane_chunks, lane_width_for, marginal_gain, reach_collect, reach_count,
+    reach_count_batch, reach_count_batch_wide, reverse_reach_batch, reverse_reach_batch_wide,
+    reverse_reach_collect, reverse_reach_excluding, reverse_reach_union_ordered,
+    reverse_reachable_within, CoverSet, ReachScratch, ScratchPool, SpreadMemo, SpreadStats,
+    SpreadStatsSnapshot, SweepDirection, BATCH_LANES, MAX_BATCH_LANES,
 };
 pub use sketch::{SketchParams, SketchPool};
 pub use tdn::{LiveEdge, TdnGraph};
-pub use traits::{InGraph, OutGraph};
+pub use traits::Graph;

@@ -11,11 +11,18 @@
 //!   BFS may prune at covered nodes;
 //! * the marginal gain `f(S ∪ {v}) − f(S) = |reach(v) \ R|` is computable
 //!   with a single pruned BFS.
+//!
+//! Every traversal runs on one of two private kernels, both generic over
+//! an edge orientation (`Forward` walks out-edges, `Reverse` in-edges):
+//! the scalar `bfs`, which answers one question per traversal (a spread, a
+//! marginal gain, an ancestor list), and the bit-parallel `label_sweep`,
+//! which answers up to [`MAX_BATCH_LANES`] lanes at once. Only the
+//! budgeted probe [`reverse_reachable_within`] keeps a loop of its own.
 
 use crate::bitset::NodeBitSet;
 use crate::epoch::EpochSet;
 use crate::node::NodeId;
-use crate::traits::{InGraph, OutGraph};
+use crate::traits::Graph;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -40,8 +47,6 @@ pub struct ReachScratch {
     epoch2: u32,
     /// First-touch order of the current bit-parallel traversal.
     touched: Vec<NodeId>,
-    /// Reusable gained-nodes buffer for [`extend_cover`].
-    gained: Vec<NodeId>,
     /// Worklist pushes of the current bit-parallel traversal.
     batch_pushes: u64,
     /// Drain compactions of the current bit-parallel traversal.
@@ -71,8 +76,7 @@ impl ReachScratch {
         self.visited.capacity() * std::mem::size_of::<u32>()
             + self.stamp2.capacity() * std::mem::size_of::<u32>()
             + self.labels.capacity() * std::mem::size_of::<u64>()
-            + (self.queue.capacity() + self.touched.capacity() + self.gained.capacity())
-                * std::mem::size_of::<NodeId>()
+            + (self.queue.capacity() + self.touched.capacity()) * std::mem::size_of::<NodeId>()
     }
 
     /// Starts a new traversal, sizing the visited array for `bound` nodes.
@@ -339,34 +343,14 @@ impl FromIterator<NodeId> for CoverSet {
 }
 
 /// Counts `|reach(start)|` — the singleton influence spread `f({start})`.
-pub fn reach_count(g: &impl OutGraph, start: NodeId, scratch: &mut ReachScratch) -> u64 {
-    scratch.begin(g.node_index_bound().max(start.index() + 1));
-    scratch.visited[start.index()] = scratch.epoch;
-    scratch.queue.push(start);
-    let ReachScratch {
-        visited,
-        epoch,
-        queue,
-        ..
-    } = scratch;
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        g.for_each_out(u, |v| {
-            let slot = &mut visited[v.index()];
-            if *slot != *epoch {
-                *slot = *epoch;
-                queue.push(v);
-            }
-        });
-    }
-    queue.len() as u64
+pub fn reach_count(g: &impl Graph, start: NodeId, scratch: &mut ReachScratch) -> u64 {
+    bfs::<Forward, _>(g, &[start], scratch, |_, _| true);
+    scratch.queue.len() as u64
 }
 
 /// Collects `reach(start)` into `out` (cleared first).
 pub fn reach_collect(
-    g: &impl OutGraph,
+    g: &impl Graph,
     start: NodeId,
     scratch: &mut ReachScratch,
     out: &mut Vec<NodeId>,
@@ -383,7 +367,7 @@ pub fn reach_collect(
 /// Relies on the closure invariant of [`CoverSet`]: traversal prunes at
 /// covered nodes because everything beyond them is already covered.
 pub fn marginal_gain(
-    g: &impl OutGraph,
+    g: &impl Graph,
     start: NodeId,
     cover: &CoverSet,
     scratch: &mut ReachScratch,
@@ -393,49 +377,9 @@ pub fn marginal_gain(
     if cover.contains(start) {
         return 0;
     }
-    scratch.begin(g.node_index_bound().max(start.index() + 1));
-    scratch.visited[start.index()] = scratch.epoch;
-    scratch.queue.push(start);
-    let ReachScratch {
-        visited,
-        epoch,
-        queue,
-        ..
-    } = scratch;
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        g.for_each_out(u, |v| {
-            let slot = &mut visited[v.index()];
-            if *slot != *epoch && !cover.contains(v) {
-                *slot = *epoch;
-                queue.push(v);
-            }
-        });
-    }
-    gained.extend_from_slice(queue);
+    bfs::<Forward, _>(g, &[start], scratch, |_, u| !cover.contains(u));
+    gained.extend_from_slice(&scratch.queue);
     gained.len() as u64
-}
-
-/// Extends `cover` with `reach(start)` (pruning at already-covered nodes)
-/// and returns the number of newly covered nodes.
-///
-/// The gained-nodes buffer lives in `scratch`, so repeated calls (one per
-/// admitted candidate per threshold) allocate nothing.
-pub fn extend_cover(
-    g: &impl OutGraph,
-    start: NodeId,
-    cover: &mut CoverSet,
-    scratch: &mut ReachScratch,
-) -> u64 {
-    let mut gained = std::mem::take(&mut scratch.gained);
-    let n = marginal_gain(g, start, cover, scratch, &mut gained);
-    for &v in &gained {
-        cover.insert(v);
-    }
-    scratch.gained = gained;
-    n
 }
 
 /// Collects the reverse reachability set of `start` (everything that can
@@ -443,35 +387,59 @@ pub fn extend_cover(
 ///
 /// Used for `V̄_t`: after inserting edge `(u, v)`, exactly the ancestors of
 /// `u` (in the post-insertion graph) have changed influence spread.
-pub fn reverse_reach_collect<G: OutGraph + InGraph>(
+pub fn reverse_reach_collect<G: Graph>(
     g: &G,
     start: NodeId,
     scratch: &mut ReachScratch,
     out: &mut Vec<NodeId>,
 ) {
-    scratch.begin(g.node_index_bound().max(start.index() + 1));
-    scratch.visited[start.index()] = scratch.epoch;
-    scratch.queue.push(start);
-    let ReachScratch {
-        visited,
-        epoch,
-        queue,
-        ..
-    } = scratch;
-    let mut head = 0;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        g.for_each_in(v, |u| {
-            let slot = &mut visited[u.index()];
-            if *slot != *epoch {
-                *slot = *epoch;
-                queue.push(u);
-            }
-        });
-    }
+    reverse_reach_union_ordered(g, &[start], scratch, out);
+}
+
+/// Collects the union of the reverse reachability sets of `sources` into
+/// `out` (cleared first), **in the exact order the per-source V̄ merge
+/// produces**: sources in slice order, each contributing its not-yet-seen
+/// ancestors in the order a full single-source reverse BFS from it would
+/// first discover them.
+///
+/// This equivalence lets one shared traversal replace a full reverse BFS
+/// per source: the seen set is always a union of *complete* ancestor sets
+/// (ancestor-closed), so every in-neighbor of a seen node is itself seen —
+/// pruning at seen nodes skips no new node, and the new nodes a pruned BFS
+/// discovers appear in exactly the same relative order as the new-node
+/// subsequence of the unpruned BFS (new nodes are only ever pushed while
+/// expanding new nodes). Total work is linear in the union's size instead
+/// of the sum of the per-source cone sizes. See DESIGN.md § Flat graph
+/// core for the full argument.
+pub fn reverse_reach_union_ordered<G: Graph>(
+    g: &G,
+    sources: &[NodeId],
+    scratch: &mut ReachScratch,
+    out: &mut Vec<NodeId>,
+) {
+    bfs::<Reverse, _>(g, sources, scratch, |_, _| true);
     out.clear();
-    out.extend_from_slice(queue);
+    out.extend_from_slice(&scratch.queue);
+}
+
+/// Collects the reverse reachability set of `sink` while ignoring the
+/// direct in-edges from `skip_direct` (cleared into `out`). This is the
+/// "old ancestors" side `B` of the sink-delta patch: the nodes that could
+/// already reach `sink` without this batch's fresh in-edges. Only the hop
+/// `skip_direct[i] → sink` itself is skipped; a skipped source discovered
+/// through a longer path is still collected.
+pub fn reverse_reach_excluding<G: Graph>(
+    g: &G,
+    sink: NodeId,
+    skip_direct: &[NodeId],
+    scratch: &mut ReachScratch,
+    out: &mut Vec<NodeId>,
+) {
+    bfs::<Reverse, _>(g, &[sink], scratch, |v, u| {
+        v != sink || !skip_direct.contains(&u)
+    });
+    out.clear();
+    out.extend_from_slice(&scratch.queue);
 }
 
 /// Budgeted *reverse* reachability probe: does `from` reach `to`, decided
@@ -487,7 +455,11 @@ pub fn reverse_reach_collect<G: OutGraph + InGraph>(
 /// The reverse direction is the cheap one: influence streams have hub
 /// sources with huge forward reach but targets with shallow ancestor
 /// chains.
-pub fn reverse_reachable_within<G: OutGraph + InGraph>(
+///
+/// This probe keeps its own loop rather than running on the scalar `bfs`
+/// kernel the other traversals share: its expansion budget and its stop
+/// on discovering `from` would be kernel parameters that only it passes.
+pub fn reverse_reachable_within<G: Graph>(
     g: &G,
     from: NodeId,
     to: NodeId,
@@ -534,90 +506,6 @@ pub fn reverse_reachable_within<G: OutGraph + InGraph>(
         }
     }
     Some(false)
-}
-
-/// Collects the reverse reachability set of `sink` while ignoring the
-/// direct in-edges from `skip_direct` (cleared into `out`). This is the
-/// "old ancestors" side `B` of the sink-delta patch: the nodes that could
-/// already reach `sink` without this batch's fresh in-edges. Only the hop
-/// `skip_direct[i] → sink` itself is skipped; a skipped source discovered
-/// through a longer path is still collected.
-pub fn reverse_reach_excluding<G: OutGraph + InGraph>(
-    g: &G,
-    sink: NodeId,
-    skip_direct: &[NodeId],
-    scratch: &mut ReachScratch,
-    out: &mut Vec<NodeId>,
-) {
-    scratch.begin(g.node_index_bound().max(sink.index() + 1));
-    scratch.visited[sink.index()] = scratch.epoch;
-    scratch.queue.push(sink);
-    let ReachScratch {
-        visited,
-        epoch,
-        queue,
-        ..
-    } = scratch;
-    let mut head = 0;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        let at_sink = v == sink;
-        g.for_each_in(v, |u| {
-            if at_sink && skip_direct.contains(&u) {
-                return;
-            }
-            let slot = &mut visited[u.index()];
-            if *slot != *epoch {
-                *slot = *epoch;
-                queue.push(u);
-            }
-        });
-    }
-    out.clear();
-    out.extend_from_slice(queue);
-}
-
-/// Collects the union of the reverse reachability sets of `starts` into
-/// `out` (cleared first) — one multi-source BFS, deduplicated by the
-/// scratch epoch. The incremental spread engine uses this to build `A_v`,
-/// the set of nodes that reach a new sink `v` through any of its in-edge
-/// sources.
-pub fn reverse_reach_multi_collect<G: OutGraph + InGraph>(
-    g: &G,
-    starts: &[NodeId],
-    scratch: &mut ReachScratch,
-    out: &mut Vec<NodeId>,
-) {
-    let max_start = starts.iter().map(|s| s.index() + 1).max().unwrap_or(0);
-    scratch.begin(g.node_index_bound().max(max_start));
-    for &s in starts {
-        let slot = &mut scratch.visited[s.index()];
-        if *slot != scratch.epoch {
-            *slot = scratch.epoch;
-            scratch.queue.push(s);
-        }
-    }
-    let ReachScratch {
-        visited,
-        epoch,
-        queue,
-        ..
-    } = scratch;
-    let mut head = 0;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        g.for_each_in(v, |u| {
-            let slot = &mut visited[u.index()];
-            if *slot != *epoch {
-                *slot = *epoch;
-                queue.push(u);
-            }
-        });
-    }
-    out.clear();
-    out.extend_from_slice(queue);
 }
 
 /// Lanes per label **word** of a bit-parallel traversal. The historical
@@ -718,70 +606,18 @@ fn load_label<const W: usize>(labels: &[u64], idx: usize) -> [u64; W] {
     out
 }
 
-/// Collects the union of the reverse reachability sets of `sources` into
-/// `out` (cleared first), **in the exact order the per-source V̄ merge
-/// produces**: sources in slice order, each contributing its not-yet-seen
-/// ancestors in the order a full single-source reverse BFS from it would
-/// first discover them.
-///
-/// This equivalence lets one shared traversal replace a full reverse BFS
-/// per source: the seen set is always a union of *complete* ancestor sets
-/// (ancestor-closed), so every in-neighbor of a seen node is itself seen —
-/// pruning at seen nodes skips no new node, and the new nodes a pruned BFS
-/// discovers appear in exactly the same relative order as the new-node
-/// subsequence of the unpruned BFS (new nodes are only ever pushed while
-/// expanding new nodes). Total work is linear in the union's size instead
-/// of the sum of the per-source cone sizes. See DESIGN.md § Flat graph
-/// core for the full argument.
-pub fn reverse_reach_union_ordered<G: OutGraph + InGraph>(
-    g: &G,
-    sources: &[NodeId],
-    scratch: &mut ReachScratch,
-    out: &mut Vec<NodeId>,
-) {
-    let max_start = sources.iter().map(|s| s.index() + 1).max().unwrap_or(0);
-    scratch.begin(g.node_index_bound().max(max_start));
-    let ReachScratch {
-        visited,
-        epoch,
-        queue,
-        ..
-    } = scratch;
-    let mut head = 0;
-    for &s in sources {
-        let slot = &mut visited[s.index()];
-        if *slot == *epoch {
-            // Subsumed source: its complete ancestor set is already seen.
-            continue;
-        }
-        *slot = *epoch;
-        queue.push(s);
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            g.for_each_in(v, |u| {
-                let slot = &mut visited[u.index()];
-                if *slot != *epoch {
-                    *slot = *epoch;
-                    queue.push(u);
-                }
-            });
-        }
-    }
-    out.clear();
-    out.extend_from_slice(queue);
-}
-
-/// Edge orientation of [`label_sweep`], fixed at compile time: the
-/// adjacency a top-down round pushes a node's label across, and the
-/// opposite one a bottom-up round pulls a node's label from.
+/// Edge orientation of the two traversal kernels, [`bfs`] and
+/// [`label_sweep`], fixed at compile time: the adjacency a BFS or a
+/// top-down round pushes across, and the opposite one a bottom-up round
+/// pulls a node's label from.
 trait Orientation {
-    /// Calls `f` on every node `v`'s label propagates to.
-    fn push<G: OutGraph + InGraph>(g: &G, v: NodeId, f: impl FnMut(NodeId));
+    /// Calls `f` on every node a hop from `v` reaches (where `v`'s label
+    /// propagates to).
+    fn push<G: Graph>(g: &G, v: NodeId, f: impl FnMut(NodeId));
     /// Calls `f` on every node whose label propagates to `u`.
-    fn pull<G: OutGraph + InGraph>(g: &G, u: NodeId, f: impl FnMut(NodeId));
+    fn pull<G: Graph>(g: &G, u: NodeId, f: impl FnMut(NodeId));
     /// Prefetches the adjacency [`Self::pull`] reads for `u`.
-    fn prefetch_pull<G: OutGraph + InGraph>(g: &G, u: NodeId);
+    fn prefetch_pull<G: Graph>(g: &G, u: NodeId);
 }
 
 /// Labels flow against the edges: a node's label reaches its ancestors.
@@ -791,26 +627,74 @@ struct Reverse;
 struct Forward;
 
 impl Orientation for Reverse {
-    fn push<G: OutGraph + InGraph>(g: &G, v: NodeId, f: impl FnMut(NodeId)) {
+    fn push<G: Graph>(g: &G, v: NodeId, f: impl FnMut(NodeId)) {
         g.for_each_in(v, f);
     }
-    fn pull<G: OutGraph + InGraph>(g: &G, u: NodeId, f: impl FnMut(NodeId)) {
+    fn pull<G: Graph>(g: &G, u: NodeId, f: impl FnMut(NodeId)) {
         g.for_each_out(u, f);
     }
-    fn prefetch_pull<G: OutGraph + InGraph>(g: &G, u: NodeId) {
+    fn prefetch_pull<G: Graph>(g: &G, u: NodeId) {
         g.prefetch_out(u);
     }
 }
 
 impl Orientation for Forward {
-    fn push<G: OutGraph + InGraph>(g: &G, v: NodeId, f: impl FnMut(NodeId)) {
+    fn push<G: Graph>(g: &G, v: NodeId, f: impl FnMut(NodeId)) {
         g.for_each_out(v, f);
     }
-    fn pull<G: OutGraph + InGraph>(g: &G, u: NodeId, f: impl FnMut(NodeId)) {
+    fn pull<G: Graph>(g: &G, u: NodeId, f: impl FnMut(NodeId)) {
         g.for_each_in(u, f);
     }
-    fn prefetch_pull<G: OutGraph + InGraph>(g: &G, u: NodeId) {
+    fn prefetch_pull<G: Graph>(g: &G, u: NodeId) {
         g.prefetch_in(u);
+    }
+}
+
+/// The scalar BFS kernel behind every single-answer traversal:
+/// [`reach_count`], [`reach_collect`] and [`marginal_gain`] (`Forward`),
+/// and [`reverse_reach_collect`], [`reverse_reach_union_ordered`] and
+/// [`reverse_reach_excluding`] (`Reverse`).
+///
+/// Seeds are taken in slice order: an unvisited seed is marked and its
+/// whole cone across `O`'s push edges is drained before the next seed, so
+/// one seed gives plain BFS order and several give the per-source merge
+/// order of [`reverse_reach_union_ordered`]. `admit(v, u)` is called once
+/// for each hop `v → u` to a not-yet-visited `u` and may refuse it. The
+/// visited nodes are left in `scratch.queue` in visit order.
+fn bfs<O: Orientation, G: Graph>(
+    g: &G,
+    seeds: &[NodeId],
+    scratch: &mut ReachScratch,
+    mut admit: impl FnMut(NodeId, NodeId) -> bool,
+) {
+    let max_start = seeds.iter().map(|s| s.index() + 1).max().unwrap_or(0);
+    scratch.begin(g.node_index_bound().max(max_start));
+    let ReachScratch {
+        visited,
+        epoch,
+        queue,
+        ..
+    } = scratch;
+    let mut head = 0;
+    for &s in seeds {
+        let slot = &mut visited[s.index()];
+        if *slot == *epoch {
+            // A visited seed was expanded with the cone that reached it.
+            continue;
+        }
+        *slot = *epoch;
+        queue.push(s);
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            O::push(g, v, |u| {
+                let slot = &mut visited[u.index()];
+                if *slot != *epoch && admit(v, u) {
+                    *slot = *epoch;
+                    queue.push(u);
+                }
+            });
+        }
     }
 }
 
@@ -825,7 +709,7 @@ impl Orientation for Forward {
 /// (seeds included), so its calls sum to the final per-lane popcounts
 /// whatever order the sweep found them in. The labeled nodes are left in
 /// `scratch.touched` in first-touch order.
-fn label_sweep<const W: usize, O: Orientation, G: OutGraph + InGraph>(
+fn label_sweep<const W: usize, O: Orientation, G: Graph>(
     g: &G,
     seeds: impl Iterator<Item = (usize, NodeId)> + Clone,
     mut skip: impl FnMut(NodeId, NodeId) -> [u64; W],
@@ -1026,11 +910,11 @@ fn label_sweep<const W: usize, O: Orientation, G: OutGraph + InGraph>(
 /// propagation rule `label(u) ⊇ label(v) ∖ skip(v, u)` for every live edge
 /// `u → v` (plus the seeds), so final labels — and the visited set — are
 /// bit-identical whichever path computed them; see DESIGN.md
-/// § Bit-parallel traversal kernels.
+/// § Traversal kernels.
 ///
 /// # Panics
 /// Panics if more than `W * 64` lanes are given.
-pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
+pub fn reverse_reach_batch<const W: usize, G: Graph>(
     g: &G,
     lanes: &[&[NodeId]],
     skip: impl FnMut(NodeId, NodeId) -> [u64; W],
@@ -1062,7 +946,7 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
 /// # Panics
 /// Panics if `words` is not a shipped width (1, 2 or 4) or `lanes` exceeds
 /// `words * 64`.
-pub fn reverse_reach_batch_wide<G: OutGraph + InGraph>(
+pub fn reverse_reach_batch_wide<G: Graph>(
     g: &G,
     lanes: &[&[NodeId]],
     words: usize,
@@ -1094,12 +978,11 @@ pub fn reverse_reach_batch_wide<G: OutGraph + InGraph>(
 /// tallied at that moment, so the totals equal the final per-lane label
 /// popcounts — independent of sweep direction and discovery order. Under
 /// [`SweepDirection::Auto`] wide frontiers switch to bottom-up rounds that
-/// pull from **in**-neighbors (hence the [`InGraph`] bound), with software
-/// prefetch ahead of the scan.
+/// pull from **in**-neighbors, with software prefetch ahead of the scan.
 ///
 /// # Panics
 /// Panics if `sources` and `counts` differ in length or exceed `W * 64`.
-pub fn reach_count_batch<const W: usize, G: OutGraph + InGraph>(
+pub fn reach_count_batch<const W: usize, G: Graph>(
     g: &G,
     sources: &[NodeId],
     direction: SweepDirection,
@@ -1135,7 +1018,7 @@ pub fn reach_count_batch<const W: usize, G: OutGraph + InGraph>(
 /// # Panics
 /// Panics if `words` is not a shipped width (1, 2 or 4), or on any
 /// [`reach_count_batch`] panic.
-pub fn reach_count_batch_wide<G: OutGraph + InGraph>(
+pub fn reach_count_batch_wide<G: Graph>(
     g: &G,
     sources: &[NodeId],
     words: usize,
@@ -1504,7 +1387,7 @@ impl SpreadMemo {
     ///
     /// Two full reverse BFSs per sink: the reference that
     /// [`Self::apply_old_sink_deltas_wide`] is tested against.
-    pub fn apply_old_sink_delta<G: OutGraph + InGraph>(
+    pub fn apply_old_sink_delta<G: Graph>(
         &mut self,
         g: &G,
         sink: NodeId,
@@ -1515,7 +1398,7 @@ impl SpreadMemo {
         reverse_reach_excluding(g, sink, fresh_sources, scratch, &mut b);
         let b: NodeBitSet = b.into_iter().collect();
         let mut a = Vec::new();
-        reverse_reach_multi_collect(g, fresh_sources, scratch, &mut a);
+        reverse_reach_union_ordered(g, fresh_sources, scratch, &mut a);
         for x in a {
             if !b.contains(x) {
                 self.add_delta(x);
@@ -1535,7 +1418,7 @@ impl SpreadMemo {
     ///
     /// # Panics
     /// Panics if `words` is not a shipped width (1, 2 or 4).
-    pub fn apply_old_sink_deltas_wide<G: OutGraph + InGraph>(
+    pub fn apply_old_sink_deltas_wide<G: Graph>(
         &mut self,
         g: &G,
         sinks: &[(NodeId, Vec<NodeId>)],
@@ -1554,7 +1437,7 @@ impl SpreadMemo {
     /// The width-generic core of the batched old-sink patch: two lanes per
     /// sink (`2i` = `A` side, `2i + 1` = `B` side; a pair never straddles a
     /// word boundary because `2i` is even), `W * 32` sinks per traversal.
-    fn apply_old_sink_deltas_batch<const W: usize, G: OutGraph + InGraph>(
+    fn apply_old_sink_deltas_batch<const W: usize, G: Graph>(
         &mut self,
         g: &G,
         sinks: &[(NodeId, Vec<NodeId>)],
@@ -1797,6 +1680,17 @@ mod tests {
         assert_eq!(out, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 
+    /// Commits `start` to `cover` the way the trackers do: one pruned
+    /// marginal-gain BFS, then an insert of every gained node.
+    fn commit(g: &AdnGraph, start: NodeId, cover: &mut CoverSet, s: &mut ReachScratch) -> u64 {
+        let mut gained = Vec::new();
+        let gain = marginal_gain(g, start, cover, s, &mut gained);
+        for n in gained {
+            cover.insert(n);
+        }
+        gain
+    }
+
     #[test]
     fn marginal_gain_prunes_at_cover() {
         let g = line_graph(6);
@@ -1804,7 +1698,7 @@ mod tests {
         let mut cover = CoverSet::new();
         let mut gained = Vec::new();
         // Cover = reach(3) = {3,4,5}.
-        extend_cover(&g, NodeId(3), &mut cover, &mut s);
+        commit(&g, NodeId(3), &mut cover, &mut s);
         assert_eq!(cover.len(), 3);
         // Gain of 0 = {0,1,2} only.
         let gain = marginal_gain(&g, NodeId(0), &cover, &mut s, &mut gained);
@@ -1820,8 +1714,9 @@ mod tests {
         let g = line_graph(4);
         let mut s = ReachScratch::new();
         let mut cover = CoverSet::new();
-        assert_eq!(extend_cover(&g, NodeId(1), &mut cover, &mut s), 3);
-        assert_eq!(extend_cover(&g, NodeId(1), &mut cover, &mut s), 0);
+        assert_eq!(commit(&g, NodeId(1), &mut cover, &mut s), 3);
+        // Committing the same node again gains nothing.
+        assert_eq!(commit(&g, NodeId(1), &mut cover, &mut s), 0);
         assert_eq!(cover.len(), 3);
     }
 
@@ -1839,6 +1734,33 @@ mod tests {
         assert_eq!(out, vec![NodeId(0), NodeId(1), NodeId(2)]);
         reverse_reach_collect(&g, NodeId(3), &mut s, &mut out);
         assert_eq!(out.len(), 4);
+    }
+
+    #[test]
+    fn reverse_reach_excluding_skips_only_the_direct_hop() {
+        // u -> sink, u -> w -> sink, x -> sink; z hangs below the sink.
+        let (u, w, x, sink, z) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4));
+        let mut g = AdnGraph::new();
+        for (a, b) in [(u, sink), (u, w), (w, sink), (x, sink), (sink, z)] {
+            g.add_edge(a, b);
+        }
+        let mut s = ReachScratch::new();
+        let mut all = Vec::new();
+        reverse_reach_excluding(&g, sink, &[], &mut s, &mut all);
+        all.sort();
+        assert_eq!(all, vec![u, w, x, sink]);
+        // Skipping u's and x's direct hops drops x, but u is still reached
+        // through w.
+        let mut out = Vec::new();
+        reverse_reach_excluding(&g, sink, &[u, x], &mut s, &mut out);
+        let mut set = out.clone();
+        set.sort();
+        assert_eq!(set, vec![u, w, sink]);
+        // A duplicated skip entry, or one that is not an in-neighbour of
+        // the sink, changes nothing.
+        let mut again = Vec::new();
+        reverse_reach_excluding(&g, sink, &[u, x, u, z], &mut s, &mut again);
+        assert_eq!(again, out);
     }
 
     #[test]
@@ -1966,16 +1888,16 @@ mod tests {
         g.add_edge(NodeId(3), NodeId(4));
         let mut s = ReachScratch::new();
         let mut out = Vec::new();
-        reverse_reach_multi_collect(&g, &[NodeId(2), NodeId(4)], &mut s, &mut out);
+        reverse_reach_union_ordered(&g, &[NodeId(2), NodeId(4)], &mut s, &mut out);
         out.sort();
         assert_eq!(
             out,
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
         );
         // Duplicate starts dedup; empty starts yield the empty set.
-        reverse_reach_multi_collect(&g, &[NodeId(2), NodeId(2)], &mut s, &mut out);
+        reverse_reach_union_ordered(&g, &[NodeId(2), NodeId(2)], &mut s, &mut out);
         assert_eq!(out.len(), 3);
-        reverse_reach_multi_collect(&g, &[], &mut s, &mut out);
+        reverse_reach_union_ordered(&g, &[], &mut s, &mut out);
         assert!(out.is_empty());
     }
 
@@ -2096,7 +2018,7 @@ mod tests {
             );
             let mut expect = Vec::new();
             for (i, srcs) in lane_sources.iter().enumerate() {
-                reverse_reach_multi_collect(&g, srcs, &mut s, &mut expect);
+                reverse_reach_union_ordered(&g, srcs, &mut s, &mut expect);
                 for n in 0..30u32 {
                     let in_lane = expect.contains(&NodeId(n));
                     let bit = per_node[n as usize] >> i & 1 == 1;
@@ -2184,7 +2106,7 @@ mod tests {
             let mut expect_bits: Vec<[u64; 4]> = vec![[0; 4]; 120];
             let mut one = Vec::new();
             for (i, srcs) in lane_sources.iter().enumerate() {
-                reverse_reach_multi_collect(&g, srcs, &mut s, &mut one);
+                reverse_reach_union_ordered(&g, srcs, &mut s, &mut one);
                 for &n in &one {
                     expect_bits[n.index()][i >> 6] |= 1u64 << (i & 63);
                 }

@@ -38,7 +38,7 @@
 
 use crate::bitset::NodeBitSet;
 use crate::node::NodeId;
-use crate::traits::{InGraph, OutGraph};
+use crate::traits::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -185,7 +185,7 @@ impl SketchPool {
     /// initialized in ascending node order (deterministic regardless of
     /// the graph's internal hash ordering) and every sketch draws a root
     /// and builds its set.
-    pub fn init_from_graph<G: OutGraph + InGraph + Sync>(
+    pub fn init_from_graph<G: Graph + Sync>(
         params: SketchParams,
         g: &G,
         mut nodes: Vec<NodeId>,
@@ -284,11 +284,7 @@ impl SketchPool {
     /// `fresh` must be the edges actually inserted this batch (duplicates
     /// the graph rejected excluded), in insertion order; `g` must already
     /// contain them all.
-    pub fn absorb_batch<G: OutGraph + InGraph + Sync>(
-        &mut self,
-        g: &G,
-        fresh: &[(NodeId, NodeId)],
-    ) {
+    pub fn absorb_batch<G: Graph + Sync>(&mut self, g: &G, fresh: &[(NodeId, NodeId)]) {
         let n_old = self.universe.len();
         for &(u, v) in fresh {
             for n in [u, v] {
@@ -334,7 +330,7 @@ impl SketchPool {
     /// uniform over the survivors by symmetry, so roots stay exactly
     /// uniform and estimates stay unbiased); sketches containing an
     /// affected node rebuild from their root on the post-expiry graph.
-    pub fn apply_expiry<G: OutGraph + InGraph + Sync>(&mut self, g: &G, affected: &[NodeId]) {
+    pub fn apply_expiry<G: Graph + Sync>(&mut self, g: &G, affected: &[NodeId]) {
         if self.roots.is_empty() {
             return;
         }
@@ -383,7 +379,7 @@ impl SketchPool {
     /// the planned root or extend along `fresh`. RNG-free and pure, so the
     /// fan-out is deterministic at any thread count; count merges run
     /// serially in sketch order.
-    fn run_tasks<G: OutGraph + InGraph + Sync>(
+    fn run_tasks<G: Graph + Sync>(
         &mut self,
         g: &G,
         plans: &[Option<NodeId>],
@@ -538,7 +534,7 @@ impl SketchPool {
 /// a member's ancestors are members or are reached through the explicit
 /// per-edge probes — see [`SketchPool::absorb_batch`]). Newly inserted
 /// nodes append to `added`.
-fn extend_reverse<G: InGraph>(
+fn extend_reverse<G: Graph>(
     g: &G,
     members: &mut NodeBitSet,
     start: NodeId,
@@ -572,7 +568,7 @@ mod tests {
 
     /// Exactness oracle: every sketch's member set must equal the scalar
     /// reverse-reachability closure of its root.
-    fn assert_sets_exact<G: OutGraph + InGraph + Sync>(pool: &SketchPool, g: &G) {
+    fn assert_sets_exact<G: Graph + Sync>(pool: &SketchPool, g: &G) {
         let mut scratch = ReachScratch::new();
         let mut expect = Vec::new();
         for i in 0..pool.len() {

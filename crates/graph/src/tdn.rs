@@ -17,7 +17,7 @@ use crate::epoch::EpochSet;
 use crate::hash::FxHashMap;
 use crate::indexed_set::IndexedSet;
 use crate::node::{pack_pair, Lifetime, NodeId, Time};
-use crate::traits::{InGraph, OutGraph};
+use crate::traits::Graph;
 use std::collections::BTreeMap;
 
 /// An adjacency entry: target node plus the edge instance's expiry time.
@@ -835,12 +835,21 @@ impl std::fmt::Debug for TdnGraph {
     }
 }
 
-impl OutGraph for TdnGraph {
+impl Graph for TdnGraph {
     #[inline]
     fn for_each_out(&self, u: NodeId, mut f: impl FnMut(NodeId)) {
         for &(v, exp) in self.out.pool.as_slice(u.index()) {
             if exp > self.now {
                 f(v);
+            }
+        }
+    }
+
+    #[inline]
+    fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
+        for &(u, exp) in self.inc.pool.as_slice(v.index()) {
+            if exp > self.now {
+                f(u);
             }
         }
     }
@@ -863,17 +872,6 @@ impl OutGraph for TdnGraph {
     #[inline]
     fn prefetch_out(&self, u: NodeId) {
         self.out.pool.prefetch(u.index());
-    }
-}
-
-impl InGraph for TdnGraph {
-    #[inline]
-    fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
-        for &(u, exp) in self.inc.pool.as_slice(v.index()) {
-            if exp > self.now {
-                f(u);
-            }
-        }
     }
 
     #[inline]

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use tdn::graph::{
-    marginal_gain, reach_collect, reach_count, AdnGraph, CoverSet, FxHashSet, IndexedSet, OutGraph,
+    marginal_gain, reach_collect, reach_count, AdnGraph, CoverSet, FxHashSet, Graph, IndexedSet,
     ReachScratch, TdnGraph,
 };
 use tdn::prelude::*;

@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 use tdn::graph::{
-    reach_count, reach_count_batch_wide, reverse_reach_batch_wide, reverse_reach_collect, InGraph,
-    NodeBitSet, NodeId, OutGraph, ReachScratch, SweepDirection,
+    reach_count, reach_count_batch_wide, reverse_reach_batch_wide, reverse_reach_collect, Graph,
+    NodeBitSet, NodeId, ReachScratch, SweepDirection,
 };
 
 /// A raw edge-list multigraph: stores edges exactly as given — self-loops
@@ -59,10 +59,15 @@ impl MultiGraph {
     }
 }
 
-impl OutGraph for MultiGraph {
+impl Graph for MultiGraph {
     fn for_each_out(&self, u: NodeId, mut f: impl FnMut(NodeId)) {
         for &v in &self.out[u.index()] {
             f(v);
+        }
+    }
+    fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
+        for &u in &self.inn[v.index()] {
+            f(u);
         }
     }
     fn node_index_bound(&self) -> usize {
@@ -73,14 +78,6 @@ impl OutGraph for MultiGraph {
     }
     fn live_node_count(&self) -> usize {
         self.present.iter().filter(|&&p| p).count()
-    }
-}
-
-impl InGraph for MultiGraph {
-    fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
-        for &u in &self.inn[v.index()] {
-            f(u);
-        }
     }
 }
 
