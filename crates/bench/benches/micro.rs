@@ -127,8 +127,8 @@ fn bench_scratch_pool(c: &mut Criterion) {
     });
 }
 
-/// 64 singleton spreads, per-node BFS versus one 64-lane bit-parallel
-/// traversal — the phase-4a rebuild trade the cost model arbitrates.
+/// 64 singleton spreads, per-node BFS versus one 64-lane count on the
+/// SCC condensation of their cone — the phase-4a rebuild trade.
 fn bench_lanes_64(c: &mut Criterion) {
     let g = random_adn(2_000, 6_000, 6);
     let sources: Vec<NodeId> = (0..BATCH_LANES as u32).map(NodeId).collect();
@@ -144,14 +144,7 @@ fn bench_lanes_64(c: &mut Criterion) {
     let mut counts = vec![0u64; sources.len()];
     c.bench_function("micro/spreads_64_lanes64", |b| {
         b.iter(|| {
-            reach_count_batch_wide(
-                &g,
-                &sources,
-                1,
-                SweepDirection::TopDown,
-                &mut scratch,
-                &mut counts,
-            );
+            reach_count_batch_wide(&g, &sources, 1, &mut scratch, &mut counts);
             counts.iter().sum::<u64>()
         })
     });
@@ -189,8 +182,8 @@ fn bench_drain_compaction(c: &mut Criterion) {
     });
 }
 
-/// 256 singleton spreads: four 64-lane traversals versus one 256-lane
-/// `[u64; 4]` traversal — the word-width trade the adaptive `Wide` engine
+/// 256 singleton spreads: four 64-lane counts versus one 256-lane
+/// `[u64; 4]` count — the word-width trade the adaptive `Wide` engine
 /// makes when a batch carries a full lane complement.
 fn bench_wide_lanes(c: &mut Criterion) {
     let g = random_adn(2_000, 6_000, 7);
@@ -201,14 +194,7 @@ fn bench_wide_lanes(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0u64;
             for chunk in sources.chunks(BATCH_LANES) {
-                reach_count_batch_wide(
-                    &g,
-                    chunk,
-                    1,
-                    SweepDirection::TopDown,
-                    &mut scratch,
-                    &mut counts[..chunk.len()],
-                );
+                reach_count_batch_wide(&g, chunk, 1, &mut scratch, &mut counts[..chunk.len()]);
                 total += counts[..chunk.len()].iter().sum::<u64>();
             }
             total
@@ -217,14 +203,7 @@ fn bench_wide_lanes(c: &mut Criterion) {
     let mut wide_counts = vec![0u64; MAX_BATCH_LANES];
     c.bench_function("micro/spreads_256_wide256", |b| {
         b.iter(|| {
-            reach_count_batch_wide(
-                &g,
-                &sources,
-                4,
-                SweepDirection::TopDown,
-                &mut scratch,
-                &mut wide_counts,
-            );
+            reach_count_batch_wide(&g, &sources, 4, &mut scratch, &mut wide_counts);
             wide_counts.iter().sum::<u64>()
         })
     });

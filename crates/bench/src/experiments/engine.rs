@@ -16,10 +16,13 @@
 //!   oracle tallies;
 //! * on the SieveADN streams, so must every pinned lane batching —
 //!   [`TraversalKind::Fixed`] with {64, 128, 256} lanes × {top-down, auto}
-//!   sweeps, at 1 and 4 threads — with engine tallies equal to `Wide`'s;
+//!   reverse sweeps, at 1 and 4 threads — with engine tallies equal to
+//!   `Wide`'s;
 //! * the rebuild-heavy stream's `Wide` run must take at least one
 //!   bottom-up sweep (observed via [`tdn_graph::bottom_up_sweeps`]), or
-//!   the direction grid would be vacuous.
+//!   the direction grid would be vacuous. Only the reverse sweeps of
+//!   phases 3 and 3b have a direction; phase-4a forward counting runs on
+//!   the cone's SCC condensation and never sweeps.
 //!
 //! Results land in `BENCH_engine.json` (see EXPERIMENTS.md for the
 //! schema and the reading).
@@ -76,9 +79,9 @@ struct Workload {
 /// The measured streams. Small cascade batches leave about half of `V̄_t`
 /// clean, so the memo patch path serves it; coarse cascade batches
 /// dirty most of `V̄_t`, so the cost model rebuilds with full 256-lane
-/// counting sweeps whose frontiers are wide enough to go bottom-up. The
-/// two SieveADN streams therefore cover both phase-4a paths, and carry
-/// the lane grid. HistApprox runs with a long window (nothing expires)
+/// condensation counts, and their phase-3 reverse marking sweeps are wide
+/// enough to go bottom-up. The two SieveADN streams therefore cover both
+/// phase-4a paths, and carry the lane grid. HistApprox runs with a long window (nothing expires)
 /// and a short one (constant expiry churn, the engine's worst case). The
 /// Brightkite bipartite stream is the control: its spreads are already
 /// cheap, so the engine has nothing to save there.

@@ -106,29 +106,30 @@ impl SpreadMode {
 }
 
 /// How the incremental engine batches its bit-parallel traversal kernels
-/// (phase-3 dirty/delta marking, phase-3b old-sink patches, and phase-4a
-/// spread rebuilds). Every setting produces bit-identical solutions,
-/// oracle tallies and engine tallies. Production runs [`Self::Wide`];
-/// [`Self::Fixed`] exists so differential tests can pin any point of the
-/// width × direction grid.
+/// (phase-3 dirty/delta marking and phase-3b old-sink patches, which sweep
+/// in reverse, and phase-4a spread rebuilds, which count forward on the
+/// cone's SCC condensation and have no direction). Every setting produces
+/// bit-identical solutions, oracle tallies and engine tallies. Production
+/// runs [`Self::Wide`]; [`Self::Fixed`] exists so differential tests can
+/// pin any point of the width × direction grid.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum TraversalKind {
     /// The wide-lane direction-optimizing engine: lane batches are sized
     /// to the work (up to [`MAX_BATCH_LANES`] = 256 lanes per traversal,
-    /// word width chosen per chunk), and every sweep may switch between
-    /// top-down worklist rounds and prefetched bottom-up scans
+    /// word width chosen per chunk), and every reverse sweep may switch
+    /// between top-down worklist rounds and prefetched bottom-up scans
     /// ([`SweepDirection::Auto`]).
     #[default]
     Wide,
     /// A pinned point of the batched grid: exactly `lanes` lanes per
-    /// traversal (rounded to a label width of 1, 2 or 4 words) swept in
-    /// `direction`. Differential tests iterate this variant to prove the
-    /// whole grid bit-identical; [`Self::Wide`] picks the same code paths
-    /// adaptively.
+    /// traversal (rounded to a label width of 1, 2 or 4 words), reverse
+    /// sweeps in `direction`. Differential tests iterate this variant to
+    /// prove the whole grid bit-identical; [`Self::Wide`] picks the same
+    /// code paths adaptively.
     Fixed {
         /// Max multi-source lanes per traversal (1..=[`MAX_BATCH_LANES`]).
         lanes: usize,
-        /// Sweep policy for every traversal this setting issues.
+        /// Sweep policy for every reverse sweep this setting issues.
         direction: SweepDirection,
     },
 }
@@ -138,7 +139,7 @@ pub enum TraversalKind {
 struct BatchParams {
     /// Max lanes per traversal; work is chunked to this.
     max_lanes: usize,
-    /// Sweep policy handed to every batched traversal.
+    /// Sweep policy handed to every reverse sweep.
     direction: SweepDirection,
     /// Label width in words, or `None` to size per chunk
     /// ([`lane_width_for`] of the chunk length).
@@ -654,12 +655,12 @@ impl SieveAdn {
             }
             // Evaluate the misses in wide counting batches: dirty sources
             // are ancestors of the same novel edges, so their downstream
-            // cones overlap heavily and one shared labeled traversal
-            // replaces up to `max_lanes` cone re-walks. Counts are exactly
-            // what per-node BFS returns, so the values — and the tally,
-            // charged per evaluation below — are unchanged. Chunk costs
-            // are skewed (cone sizes vary wildly), hence the stealing
-            // fan-out.
+            // cones overlap heavily and one pass over the shared cone's
+            // SCC condensation replaces up to `max_lanes` cone re-walks.
+            // Counts are exactly what per-node BFS returns, so the values
+            // — and the tally, charged per evaluation below — are
+            // unchanged. Chunk costs are skewed (cone sizes vary wildly),
+            // hence the stealing fan-out.
             let computed: Vec<u64> = if need.len() <= 1 {
                 scratch.with(|s| {
                     need.iter()
@@ -676,7 +677,6 @@ impl SieveAdn {
                             graph,
                             &srcs,
                             params.width_for(chunk.len()),
-                            params.direction,
                             s,
                             &mut counts,
                         );

@@ -361,11 +361,6 @@ impl Graph for AdnGraph {
     fn prefetch_out(&self, u: NodeId) {
         self.out.prefetch(u.index());
     }
-
-    #[inline]
-    fn prefetch_in(&self, v: NodeId) {
-        self.inc.prefetch(v.index());
-    }
 }
 
 #[cfg(test)]

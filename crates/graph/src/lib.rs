@@ -20,12 +20,14 @@
 //!   contiguous buffer, with per-size-class block recycling;
 //! * [`bitset::NodeBitSet`] — dense `u64`-word node set backing
 //!   [`reach::CoverSet`];
-//! * [`reach`] — reachability on two kernels over one edge-orientation
-//!   type: a scalar BFS with reusable scratch (pooled per worker for
-//!   parallel callers) for single answers — spreads, pruned marginal gains
-//!   against incremental cover sets, ancestor lists — and a 64/128/256-lane
-//!   bit-parallel label sweep for lane batches
-//!   ([`reach::reverse_reach_batch`], [`reach::reach_count_batch`]);
+//! * [`reach`] — reachability on three kernels sharing one reusable
+//!   scratch (pooled per worker for parallel callers): a scalar BFS over
+//!   either edge orientation for single answers — spreads, pruned marginal
+//!   gains against incremental cover sets, ancestor lists — a
+//!   64/128/256-lane bit-parallel reverse label sweep for lane batches
+//!   ([`reach::reverse_reach_batch`]), and a 64/128/256-lane forward
+//!   counter on the SCC condensation of the sources' cone
+//!   ([`reach::reach_count_batch`]);
 //! * [`sketch`] — reverse-reachable sketch pool: a bounded-error spread
 //!   estimator with an explicit (ε, δ) budget, maintained deterministically
 //!   under both edge inserts and time-decay expiry;

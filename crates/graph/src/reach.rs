@@ -12,11 +12,13 @@
 //! * the marginal gain `f(S ∪ {v}) − f(S) = |reach(v) \ R|` is computable
 //!   with a single pruned BFS.
 //!
-//! Every traversal runs on one of two private kernels, both generic over
-//! an edge orientation (`Forward` walks out-edges, `Reverse` in-edges):
-//! the scalar `bfs`, which answers one question per traversal (a spread, a
-//! marginal gain, an ancestor list), and the bit-parallel `label_sweep`,
-//! which answers up to [`MAX_BATCH_LANES`] lanes at once. Only the
+//! Every traversal runs on one of three kernels: the scalar `bfs`, generic
+//! over an edge orientation (`Forward` walks out-edges, `Reverse`
+//! in-edges), which answers one question per traversal (a spread, a
+//! marginal gain, an ancestor list); the bit-parallel reverse
+//! `label_sweep`, which answers up to [`MAX_BATCH_LANES`] lanes at once;
+//! and [`reach_count_batch`], which counts up to [`MAX_BATCH_LANES`]
+//! forward spreads on the SCC condensation of their cone. Only the
 //! budgeted probe [`reverse_reachable_within`] keeps a loop of its own.
 
 use crate::bitset::NodeBitSet;
@@ -27,7 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Reusable BFS scratch: an epoch-stamped visited array and a queue, plus
-/// the label words and touch list of the bit-parallel traversals.
+/// the label words and touch list of the bit-parallel traversals and the
+/// cone buffers of the forward counter.
 ///
 /// Epoch stamping makes `clear` O(1): bumping the epoch invalidates all
 /// previous marks without touching memory.
@@ -35,18 +38,29 @@ use std::sync::{Arc, Mutex};
 pub struct ReachScratch {
     visited: Vec<u32>,
     epoch: u32,
+    /// BFS queue; the forward counter's Tarjan stack.
     queue: Vec<NodeId>,
-    /// Per-node lane masks for the bit-parallel traversals, stored as `W`
-    /// consecutive words per node (`W` = the traversal's lane width in
-    /// words); a node's words are live only while its `visited` stamp
-    /// matches the current epoch.
+    /// Per-node lane masks of the reverse sweeps, stored as `W` consecutive
+    /// words per node (`W` = the traversal's lane width in words); a
+    /// node's words are live only while its `visited` stamp matches the
+    /// current epoch. The forward counter stores one label per SCC here.
     labels: Vec<u64>,
-    /// In-worklist stamps for the bit-parallel traversals (`0` = not
-    /// queued; any other value is compared against `epoch2`).
+    /// In-worklist stamps for the reverse sweeps (`0` = not queued; any
+    /// other value is compared against `epoch2`). The forward counter
+    /// borrows it as its node → local-id map and zeroes every entry it
+    /// wrote before it returns.
     stamp2: Vec<u32>,
     epoch2: u32,
-    /// First-touch order of the current bit-parallel traversal.
+    /// First-touch order of the current reverse sweep; the forward
+    /// counter's cone nodes in SCC pop order.
     touched: Vec<NodeId>,
+    /// The forward counter's cone by local id (discovery index).
+    cone: Vec<ConeNode>,
+    /// Out-lists of the forward counter's cone, copied once per node at
+    /// discovery and rewritten to local ids as the DFS passes them.
+    cone_edges: Vec<u32>,
+    /// The forward counter's DFS call stack: `(local id, edge cursor)`.
+    dfs: Vec<(u32, u32)>,
     /// Worklist pushes of the current bit-parallel traversal.
     batch_pushes: u64,
     /// Drain compactions of the current bit-parallel traversal.
@@ -55,6 +69,17 @@ pub struct ReachScratch {
     drain_moved: u64,
     /// Bottom-up scan rounds of the current bit-parallel traversal.
     bottom_up_rounds: u64,
+}
+
+/// One node of the forward counter's cone.
+#[derive(Clone, Copy)]
+struct ConeNode {
+    /// Tarjan lowlink while the node is on the stack; `u32::MAX - c` once
+    /// it belongs to SCC `c`, which is above every local id.
+    low: u32,
+    /// End of the node's out-list in `cone_edges`; it starts where the
+    /// previous local id's ends.
+    end: u32,
 }
 
 impl Clone for ReachScratch {
@@ -77,6 +102,9 @@ impl ReachScratch {
             + self.stamp2.capacity() * std::mem::size_of::<u32>()
             + self.labels.capacity() * std::mem::size_of::<u64>()
             + (self.queue.capacity() + self.touched.capacity()) * std::mem::size_of::<NodeId>()
+            + self.cone.capacity() * std::mem::size_of::<ConeNode>()
+            + self.cone_edges.capacity() * std::mem::size_of::<u32>()
+            + self.dfs.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 
     /// Starts a new traversal, sizing the visited array for `bound` nodes.
@@ -125,7 +153,9 @@ impl ReachScratch {
         self.epoch2 = u32::MAX - 1;
     }
 
-    /// Worklist tallies of the most recent bit-parallel traversal:
+    /// Worklist tallies of the most recent `label_sweep` (a
+    /// [`reverse_reach_batch`] or [`SpreadMemo::apply_old_sink_deltas_wide`]
+    /// call; the other kernels leave them as they were):
     /// `(pushes, drain compactions, entries moved by compaction)`. The
     /// compaction heuristic is linear by construction — a drain fires only
     /// when the live tail is at most as long as the reclaimed prefix, so
@@ -136,8 +166,9 @@ impl ReachScratch {
         (self.batch_pushes, self.drain_compactions, self.drain_moved)
     }
 
-    /// Bottom-up scan rounds the most recent bit-parallel traversal ran
-    /// (0 = it stayed top-down throughout).
+    /// Bottom-up scan rounds the most recent `label_sweep` ran (0 = it
+    /// stayed top-down throughout). Like [`Self::drain_stats`], only a
+    /// reverse sweep sets it; read it right after one.
     #[doc(hidden)]
     pub fn bottom_up_rounds(&self) -> u64 {
         self.bottom_up_rounds
@@ -553,7 +584,9 @@ pub fn lane_chunks<T>(items: &[T], max_lanes: usize) -> std::slice::Chunks<'_, T
     items.chunks(max_lanes)
 }
 
-/// Sweep-direction policy of the bit-parallel traversals.
+/// Sweep-direction policy of the reverse bit-parallel sweeps
+/// ([`reverse_reach_batch`] and the old-sink patch); forward counting
+/// ([`reach_count_batch`]) does not sweep and has no direction.
 ///
 /// Both policies reach the same least fixpoint of the (monotone) label
 /// propagation, so final label words — and everything derived from them —
@@ -606,47 +639,28 @@ fn load_label<const W: usize>(labels: &[u64], idx: usize) -> [u64; W] {
     out
 }
 
-/// Edge orientation of the two traversal kernels, [`bfs`] and
-/// [`label_sweep`], fixed at compile time: the adjacency a BFS or a
-/// top-down round pushes across, and the opposite one a bottom-up round
-/// pulls a node's label from.
+/// Edge orientation of the scalar [`bfs`] kernel, fixed at compile time:
+/// the adjacency a BFS expands across.
 trait Orientation {
-    /// Calls `f` on every node a hop from `v` reaches (where `v`'s label
-    /// propagates to).
+    /// Calls `f` on every node a hop from `v` reaches.
     fn push<G: Graph>(g: &G, v: NodeId, f: impl FnMut(NodeId));
-    /// Calls `f` on every node whose label propagates to `u`.
-    fn pull<G: Graph>(g: &G, u: NodeId, f: impl FnMut(NodeId));
-    /// Prefetches the adjacency [`Self::pull`] reads for `u`.
-    fn prefetch_pull<G: Graph>(g: &G, u: NodeId);
 }
 
-/// Labels flow against the edges: a node's label reaches its ancestors.
+/// Walks against the edges: a node's ancestors.
 struct Reverse;
 
-/// Labels flow along the edges: a node's label reaches its descendants.
+/// Walks along the edges: a node's descendants.
 struct Forward;
 
 impl Orientation for Reverse {
     fn push<G: Graph>(g: &G, v: NodeId, f: impl FnMut(NodeId)) {
         g.for_each_in(v, f);
     }
-    fn pull<G: Graph>(g: &G, u: NodeId, f: impl FnMut(NodeId)) {
-        g.for_each_out(u, f);
-    }
-    fn prefetch_pull<G: Graph>(g: &G, u: NodeId) {
-        g.prefetch_out(u);
-    }
 }
 
 impl Orientation for Forward {
     fn push<G: Graph>(g: &G, v: NodeId, f: impl FnMut(NodeId)) {
         g.for_each_out(v, f);
-    }
-    fn pull<G: Graph>(g: &G, u: NodeId, f: impl FnMut(NodeId)) {
-        g.for_each_in(u, f);
-    }
-    fn prefetch_pull<G: Graph>(g: &G, u: NodeId) {
-        g.prefetch_in(u);
     }
 }
 
@@ -699,23 +713,22 @@ fn bfs<O: Orientation, G: Graph>(
 }
 
 /// The bit-parallel label-propagation kernel behind
-/// [`reverse_reach_batch`] and [`reach_count_batch`].
+/// [`reverse_reach_batch`]: labels flow against the edges, so a node's
+/// label reaches its ancestors.
 ///
 /// Each `(lane, node)` seed sets bit `lane % 64` of word `lane / 64` in
-/// `node`'s `[u64; W]` label. Labels then propagate across `O`'s edges —
+/// `node`'s `[u64; W]` label. Labels then propagate across in-edges —
 /// minus `skip(v, u)` on the hop that carries `v`'s label to `u` — until
-/// the least fixpoint of `label(u) ⊇ label(v) ∖ skip(v, u)`.
-/// `on_add(word, bits)` fires once for every lane bit newly set on a node
-/// (seeds included), so its calls sum to the final per-lane popcounts
-/// whatever order the sweep found them in. The labeled nodes are left in
-/// `scratch.touched` in first-touch order.
-fn label_sweep<const W: usize, O: Orientation, G: Graph>(
+/// the least fixpoint of `label(u) ⊇ label(v) ∖ skip(v, u)`. The labeled
+/// nodes are left in `scratch.touched` in first-touch order, and the
+/// worklist tallies ([`ReachScratch::drain_stats`],
+/// [`ReachScratch::bottom_up_rounds`]) describe this sweep until the next.
+fn label_sweep<const W: usize, G: Graph>(
     g: &G,
     seeds: impl Iterator<Item = (usize, NodeId)> + Clone,
     mut skip: impl FnMut(NodeId, NodeId) -> [u64; W],
     direction: SweepDirection,
     scratch: &mut ReachScratch,
-    mut on_add: impl FnMut(usize, u64),
 ) {
     let max_start = seeds.clone().map(|(_, s)| s.index() + 1).max();
     let bound = g.node_index_bound().max(max_start.unwrap_or(0));
@@ -736,18 +749,13 @@ fn label_sweep<const W: usize, O: Orientation, G: Graph>(
         ..
     } = scratch;
     for (lane, s) in seeds {
-        let (wi, bit) = (lane >> 6, 1u64 << (lane & 63));
         let idx = s.index();
         if visited[idx] != *epoch {
             visited[idx] = *epoch;
             labels[idx * W..idx * W + W].fill(0);
             touched.push(s);
         }
-        let word = &mut labels[idx * W + wi];
-        if *word & bit == 0 {
-            *word |= bit;
-            on_add(wi, bit);
-        }
+        labels[idx * W + (lane >> 6)] |= 1u64 << (lane & 63);
         if stamp2[idx] != *epoch2 {
             stamp2[idx] = *epoch2;
             queue.push(s);
@@ -757,7 +765,7 @@ fn label_sweep<const W: usize, O: Orientation, G: Graph>(
     let mut head = 0;
     let mut switched = false;
     'sweep: loop {
-        // --- Top-down: pop a node, push its label across `O`'s edges. ---
+        // --- Top-down: pop a node, push its label to its in-neighbors. ---
         while head < queue.len() {
             if direction == SweepDirection::Auto {
                 let pending = queue.len() - head;
@@ -769,7 +777,7 @@ fn label_sweep<const W: usize, O: Orientation, G: Graph>(
             head += 1;
             stamp2[v.index()] = 0;
             let lv = load_label::<W>(labels, v.index());
-            O::push(g, v, |u| {
+            g.for_each_in(v, |u| {
                 let sk = skip(v, u);
                 let mut prop = [0u64; W];
                 let mut any = 0u64;
@@ -792,7 +800,6 @@ fn label_sweep<const W: usize, O: Orientation, G: Graph>(
                     let added = prop[w] & !*word;
                     if added != 0 {
                         *word |= added;
-                        on_add(w, added);
                         grew = true;
                     }
                 }
@@ -817,9 +824,9 @@ fn label_sweep<const W: usize, O: Orientation, G: Graph>(
             break;
         }
         // --- Bottom-up: the frontier got wide; scan every node index and
-        // pull across `O`'s opposite edges instead. Pending worklist
-        // entries are subsumed by the full scan, so their in-queue marks
-        // clear and the queue is reused as the per-round change set. ---
+        // pull from its out-neighbors instead. Pending worklist entries
+        // are subsumed by the full scan, so their in-queue marks clear and
+        // the queue is reused as the per-round change set. ---
         for &v in &queue[head..] {
             stamp2[v.index()] = 0;
         }
@@ -834,7 +841,7 @@ fn label_sweep<const W: usize, O: Orientation, G: Graph>(
             queue.clear();
             for idx in 0..bound {
                 if idx + PREFETCH_DIST < bound {
-                    O::prefetch_pull(g, NodeId((idx + PREFETCH_DIST) as u32));
+                    g.prefetch_out(NodeId((idx + PREFETCH_DIST) as u32));
                 }
                 let u = NodeId(idx as u32);
                 let first = visited[idx] != *epoch;
@@ -844,7 +851,7 @@ fn label_sweep<const W: usize, O: Orientation, G: Graph>(
                     load_label::<W>(labels, idx)
                 };
                 let mut acc = orig;
-                O::pull(g, u, |v| {
+                g.for_each_out(u, |v| {
                     let vi = v.index();
                     if visited[vi] != *epoch {
                         return;
@@ -859,12 +866,6 @@ fn label_sweep<const W: usize, O: Orientation, G: Graph>(
                     if first {
                         visited[idx] = *epoch;
                         touched.push(u);
-                    }
-                    for w in 0..W {
-                        let added = acc[w] & !orig[w];
-                        if added != 0 {
-                            on_add(w, added);
-                        }
                     }
                     labels[idx * W..idx * W + W].copy_from_slice(&acc);
                     queue.push(u);
@@ -931,7 +932,7 @@ pub fn reverse_reach_batch<const W: usize, G: Graph>(
         .iter()
         .enumerate()
         .flat_map(|(i, lane)| lane.iter().map(move |&s| (i, s)));
-    label_sweep::<W, Reverse, G>(g, seeds, skip, direction, scratch, |_, _| {});
+    label_sweep::<W, G>(g, seeds, skip, direction, scratch);
     for &n in &scratch.touched {
         visit(n, &load_label::<W>(&scratch.labels, n.index()));
     }
@@ -970,22 +971,47 @@ pub fn reverse_reach_batch_wide<G: Graph>(
 
 /// Wide-lane bit-parallel **forward** reachability counting: writes
 /// `counts[i] = |reach(sources[i])|` (the singleton influence spread of
-/// Definition 3) for up to `W · 64` sources in one label-propagation
-/// traversal (lane `i` = bit `i % 64` of label word `i / 64`).
+/// Definition 3) for up to `W · 64` sources in one pass over their forward
+/// cone (lane `i` = bit `i % 64` of label word `i / 64`).
 ///
-/// The values are exactly what [`reach_count`] returns per source: every
-/// lane bit is set on a node exactly once (propagation is monotone) and
-/// tallied at that moment, so the totals equal the final per-lane label
-/// popcounts — independent of sweep direction and discovery order. Under
-/// [`SweepDirection::Auto`] wide frontiers switch to bottom-up rounds that
-/// pull from **in**-neighbors, with software prefetch ahead of the scan.
+/// The kernel counts on the SCC condensation of the cone:
+///
+/// 1. An iterative Tarjan DFS discovers the cone from the sources in slice
+///    order, with no recursion. A node's out-list is copied once, when the
+///    node is discovered, into scratch, so the DFS resumes from a cursor.
+///    A node's local id is its discovery index.
+/// 2. Tarjan pops each SCC as one contiguous slice of its stack, sinks
+///    first. Every SCC gets one `[u64; W]` label holding the lanes whose
+///    source lies in it.
+/// 3. The SCCs are walked in reverse pop order, and each SCC's label is
+///    ORed into every SCC its members' edges enter.
+/// 4. `counts[ℓ]` is `Σ |C|` over the SCCs `C` whose label carries lane
+///    `ℓ`. The tally keeps one counter per lane as per-word bit planes and
+///    adds each cone node's label to them with one carry-save add, not
+///    with one increment per set bit.
+///
+/// **Why it is exact.** All nodes of one SCC reach the same set. Tarjan
+/// pops an SCC only after every SCC reachable from it, so the reverse pop
+/// order is topological: every SCC with an edge into `C` is walked before
+/// `C`, and `label(C)` is final when step 3 reads it. By induction over
+/// that order, lane `ℓ` ends in `label(C)` exactly when its source
+/// reaches `C`, so step 4 adds up `|reach(sources[ℓ])|`. Self-loops and
+/// duplicate edges change neither the SCCs nor reachability, and a source
+/// with no out-edges (also one at or beyond `node_index_bound`) counts 1.
+/// The values are therefore exactly what [`reach_count`] returns per
+/// source.
+///
+/// Once the arena is warm a call allocates nothing. The kernel borrows
+/// `stamp2` as its node → local-id map and zeroes every entry it wrote
+/// before it returns, so the reverse sweeps' worklist stamps stay valid;
+/// it leaves the `label_sweep` tallies untouched. A cone must stay below
+/// `2^31` nodes and `2^32` edges.
 ///
 /// # Panics
 /// Panics if `sources` and `counts` differ in length or exceed `W * 64`.
 pub fn reach_count_batch<const W: usize, G: Graph>(
     g: &G,
     sources: &[NodeId],
-    direction: SweepDirection,
     scratch: &mut ReachScratch,
     counts: &mut [u64],
 ) {
@@ -995,25 +1021,131 @@ pub fn reach_count_batch<const W: usize, G: Graph>(
         W * 64
     );
     assert_eq!(sources.len(), counts.len());
-    counts.fill(0);
-    let seeds = sources.iter().copied().enumerate();
-    label_sweep::<W, Forward, G>(
-        g,
-        seeds,
-        |_, _| [0; W],
-        direction,
-        scratch,
-        |w, mut added| {
-            while added != 0 {
-                counts[(w << 6) + added.trailing_zeros() as usize] += 1;
-                added &= added - 1;
+    let max_start = sources.iter().map(|s| s.index() + 1).max().unwrap_or(0);
+    let bound = g.node_index_bound().max(max_start);
+    scratch.begin(bound);
+    if scratch.stamp2.len() < bound {
+        scratch.stamp2.resize(bound, 0);
+    }
+    let ReachScratch {
+        visited,
+        epoch,
+        queue: stack,
+        labels,
+        stamp2: local,
+        touched: popped,
+        cone,
+        cone_edges,
+        dfs,
+        ..
+    } = scratch;
+    let epoch = *epoch;
+    popped.clear();
+    cone.clear();
+    cone_edges.clear();
+    dfs.clear();
+    // Steps 1 and 2: Tarjan over the cone, SCCs into `popped`.
+    let mut sccs = 0u32;
+    for &s in sources {
+        if visited[s.index()] == epoch {
+            continue;
+        }
+        let mut fresh = Some(s);
+        loop {
+            if let Some(u) = fresh.take() {
+                let l = cone.len() as u32;
+                visited[u.index()] = epoch;
+                local[u.index()] = l;
+                let start = cone_edges.len() as u32;
+                g.for_each_out(u, |x| cone_edges.push(x.0));
+                let end = cone_edges.len() as u32;
+                cone.push(ConeNode { low: l, end });
+                stack.push(u);
+                dfs.push((l, start));
             }
-        },
-    );
+            let Some(top) = dfs.last_mut() else { break };
+            let (v, cur) = *top;
+            if cur < cone[v as usize].end {
+                top.1 += 1;
+                let x = NodeId(cone_edges[cur as usize]);
+                if visited[x.index()] != epoch {
+                    cone_edges[cur as usize] = cone.len() as u32;
+                    fresh = Some(x);
+                } else {
+                    let lx = local[x.index()];
+                    cone_edges[cur as usize] = lx;
+                    // A node already in an SCC carries a `low` above every
+                    // local id, so only nodes still on the stack lower it.
+                    let low = cone[lx as usize].low;
+                    let node = &mut cone[v as usize];
+                    node.low = node.low.min(low);
+                }
+                continue;
+            }
+            dfs.pop();
+            let low = cone[v as usize].low;
+            if low == v {
+                // `v` roots an SCC: the stack slice from `v` up.
+                let tag = u32::MAX - sccs;
+                sccs += 1;
+                loop {
+                    let m = stack.pop().expect("an SCC root is on the stack");
+                    let lm = local[m.index()];
+                    cone[lm as usize].low = tag;
+                    popped.push(m);
+                    if lm == v {
+                        break;
+                    }
+                }
+            } else if let Some(&(p, _)) = dfs.last() {
+                let parent = &mut cone[p as usize];
+                parent.low = parent.low.min(low);
+            }
+        }
+    }
+    // Step 3: seed the SCC labels, then walk the SCCs in reverse pop order.
+    let scc_of = |l: u32| (u32::MAX - cone[l as usize].low) as usize;
+    let words = sccs as usize * W;
+    if labels.len() < words {
+        labels.resize(words, 0);
+    }
+    labels[..words].fill(0);
+    for (lane, s) in sources.iter().enumerate() {
+        labels[scc_of(local[s.index()]) * W + (lane >> 6)] |= 1u64 << (lane & 63);
+    }
+    let mut planes = [[0u64; W]; u32::BITS as usize];
+    for &m in popped.iter().rev() {
+        let l = std::mem::take(&mut local[m.index()]);
+        let label = load_label::<W>(labels, scc_of(l));
+        // Step 4: add one to every lane of `label` across the bit planes.
+        for (w, &word) in label.iter().enumerate() {
+            let mut carry = word;
+            let mut plane = 0;
+            while carry != 0 {
+                let bits = &mut planes[plane][w];
+                let next = *bits & carry;
+                *bits ^= carry;
+                carry = next;
+                plane += 1;
+            }
+        }
+        let start = if l == 0 { 0 } else { cone[l as usize - 1].end };
+        for &x in &cone_edges[start as usize..cone[l as usize].end as usize] {
+            let c = scc_of(x);
+            for (w, &word) in label.iter().enumerate() {
+                labels[c * W + w] |= word;
+            }
+        }
+    }
+    let used = (u32::BITS - (cone.len() as u32).leading_zeros()) as usize;
+    for (lane, count) in counts.iter_mut().enumerate() {
+        let (w, bit) = (lane >> 6, lane & 63);
+        *count = (0..used).map(|p| ((planes[p][w] >> bit) & 1) << p).sum();
+    }
 }
 
 /// Runs [`reach_count_batch`] at a label width chosen at **runtime** — the
-/// monomorphization dispatcher for auto-width rebuild sweeps.
+/// monomorphization dispatcher for auto-width rebuild batches.
 ///
 /// # Panics
 /// Panics if `words` is not a shipped width (1, 2 or 4), or on any
@@ -1022,14 +1154,13 @@ pub fn reach_count_batch_wide<G: Graph>(
     g: &G,
     sources: &[NodeId],
     words: usize,
-    direction: SweepDirection,
     scratch: &mut ReachScratch,
     counts: &mut [u64],
 ) {
     match words {
-        1 => reach_count_batch::<1, G>(g, sources, direction, scratch, counts),
-        2 => reach_count_batch::<2, G>(g, sources, direction, scratch, counts),
-        4 => reach_count_batch::<4, G>(g, sources, direction, scratch, counts),
+        1 => reach_count_batch::<1, G>(g, sources, scratch, counts),
+        2 => reach_count_batch::<2, G>(g, sources, scratch, counts),
+        4 => reach_count_batch::<4, G>(g, sources, scratch, counts),
         other => panic!("unsupported label width: {other} words (shipped: 1, 2, 4)"),
     }
 }
@@ -1963,7 +2094,7 @@ mod tests {
             let mut s = ReachScratch::new();
             for chunk in sources.chunks(BATCH_LANES) {
                 let mut counts = vec![0u64; chunk.len()];
-                reach_count_batch_wide(&g, chunk, 1, SweepDirection::TopDown, &mut s, &mut counts);
+                reach_count_batch_wide(&g, chunk, 1, &mut s, &mut counts);
                 for (&src, &got) in chunk.iter().zip(&counts) {
                     assert_eq!(got, reach_count(&g, src, &mut s), "seed {seed} src {src:?}");
                 }
@@ -1976,19 +2107,12 @@ mod tests {
         let g = line_graph(4);
         let mut s = ReachScratch::new();
         // Empty batch is a no-op.
-        reach_count_batch_wide(&g, &[], 1, SweepDirection::TopDown, &mut s, &mut []);
+        reach_count_batch_wide(&g, &[], 1, &mut s, &mut []);
         // Duplicate sources occupy independent lanes with equal counts; a
         // 64-lane full batch exercises the top bit.
         let sources: Vec<NodeId> = (0..64).map(|i| NodeId(i % 4)).collect();
         let mut counts = vec![0u64; 64];
-        reach_count_batch_wide(
-            &g,
-            &sources,
-            1,
-            SweepDirection::TopDown,
-            &mut s,
-            &mut counts,
-        );
+        reach_count_batch_wide(&g, &sources, 1, &mut s, &mut counts);
         for (i, &c) in counts.iter().enumerate() {
             assert_eq!(c, 4 - (i as u64 % 4));
         }
@@ -2072,18 +2196,16 @@ mod tests {
         let g = line_graph(5);
         let sources = [NodeId(0), NodeId(2)];
         for words in [1usize, 2, 4] {
-            for dir in [SweepDirection::TopDown, SweepDirection::Auto] {
-                let mut s = ReachScratch::new();
-                s.force_epochs_near_wrap();
-                for _ in 0..5 {
-                    // Repeated calls across the wrap keep answers exact.
-                    let mut counts = [0u64; 2];
-                    reach_count_batch_wide(&g, &sources, words, dir, &mut s, &mut counts);
-                    assert_eq!(counts, [5, 3], "words {words} dir {dir:?}");
-                    let mut out = Vec::new();
-                    reverse_reach_union_ordered(&g, &[NodeId(4)], &mut s, &mut out);
-                    assert_eq!(out.len(), 5);
-                }
+            let mut s = ReachScratch::new();
+            s.force_epochs_near_wrap();
+            for _ in 0..5 {
+                // Repeated calls across the wrap keep answers exact.
+                let mut counts = [0u64; 2];
+                reach_count_batch_wide(&g, &sources, words, &mut s, &mut counts);
+                assert_eq!(counts, [5, 3], "words {words}");
+                let mut out = Vec::new();
+                reverse_reach_union_ordered(&g, &[NodeId(4)], &mut s, &mut out);
+                assert_eq!(out.len(), 5);
             }
         }
     }
@@ -2172,22 +2294,9 @@ mod tests {
                 .collect();
             // The empty batch is a no-op; full batches set each width's top bit.
             for &(words, lanes_used) in &[(1usize, 0usize), (1, 64), (2, 128), (4, 256)] {
-                for dir in [SweepDirection::TopDown, SweepDirection::Auto] {
-                    let mut counts = vec![0u64; lanes_used];
-                    reach_count_batch_wide(
-                        &g,
-                        &sources[..lanes_used],
-                        words,
-                        dir,
-                        &mut s,
-                        &mut counts,
-                    );
-                    assert_eq!(
-                        counts,
-                        expect[..lanes_used],
-                        "seed {seed} words {words} dir {dir:?}"
-                    );
-                }
+                let mut counts = vec![0u64; lanes_used];
+                reach_count_batch_wide(&g, &sources[..lanes_used], words, &mut s, &mut counts);
+                assert_eq!(counts, expect[..lanes_used], "seed {seed} words {words}");
             }
         }
     }
@@ -2227,25 +2336,15 @@ mod tests {
         );
         assert!(bottom_up_sweeps() > 0, "process-wide switch tally moved");
         assert_eq!(auto, top, "direction changes labels never");
-        // Forward counting: same switch, same counts.
-        let mut counts_top = vec![0u64; 64];
-        reach_count_batch::<1, _>(
-            &g,
-            &lane_sources,
-            SweepDirection::TopDown,
-            &mut s,
-            &mut counts_top,
-        );
-        let mut counts_auto = vec![0u64; 64];
-        reach_count_batch::<1, _>(
-            &g,
-            &lane_sources,
-            SweepDirection::Auto,
-            &mut s,
-            &mut counts_auto,
-        );
-        assert!(s.bottom_up_rounds() > 0);
-        assert_eq!(counts_auto, counts_top);
+        // Forward counting has no direction: its counts on the same graph
+        // and lanes must equal per-source scalar BFS.
+        let mut counts = vec![0u64; 64];
+        reach_count_batch::<1, _>(&g, &lane_sources, &mut s, &mut counts);
+        let scalar: Vec<u64> = lane_sources
+            .iter()
+            .map(|&src| reach_count(&g, src, &mut s))
+            .collect();
+        assert_eq!(counts, scalar);
     }
 
     #[test]
@@ -2289,6 +2388,194 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_hand_one_scratch_to_each_other_like_fresh_ones() {
+        // Every kernel runs right after every other on one shared scratch
+        // (half the seeds start near the epoch wrap) and must answer
+        // exactly as the same call on a fresh scratch: no kernel may leave
+        // state in a borrowed array that the next one misreads.
+        for seed in 0..8u64 {
+            let mut g = random_graph(seed.wrapping_add(3100), 80, 160 + 20 * seed as usize);
+            let mut state = seed.wrapping_add(11) | 1;
+            let mut rnd = move |m: u32| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                ((state >> 33) as u32) % m
+            };
+            let sinks: Vec<(NodeId, Vec<NodeId>)> = (0..6)
+                .map(|i| {
+                    let fresh: Vec<NodeId> = (0..1 + rnd(3)).map(|_| NodeId(rnd(80))).collect();
+                    (NodeId(80 + i), fresh)
+                })
+                .collect();
+            for (sink, fresh) in &sinks {
+                for &f in fresh {
+                    g.add_edge(f, *sink);
+                }
+            }
+            let bound = g.node_index_bound();
+            let sources: Vec<NodeId> = (0..200).map(|_| NodeId(rnd(86))).collect();
+            let lane_sources: Vec<Vec<NodeId>> = (0..MAX_BATCH_LANES)
+                .map(|_| (0..1 + rnd(3)).map(|_| NodeId(rnd(86))).collect())
+                .collect();
+            let mut reach0 = Vec::new();
+            reach_collect(&g, NodeId(rnd(80)), &mut ReachScratch::new(), &mut reach0);
+            let cover: CoverSet = reach0.into_iter().collect();
+            let run = |kernel: usize, words: usize, dir, s: &mut ReachScratch| -> Vec<u64> {
+                let lanes = words * BATCH_LANES;
+                let ids = |nodes: &[NodeId]| nodes.iter().map(|n| n.0 as u64).collect();
+                match kernel {
+                    0 => {
+                        let mut counts = vec![0; lanes.min(sources.len())];
+                        reach_count_batch_wide(&g, &sources[..counts.len()], words, s, &mut counts);
+                        counts
+                    }
+                    1 => {
+                        let lanes: Vec<&[NodeId]> =
+                            lane_sources[..lanes].iter().map(Vec::as_slice).collect();
+                        let mut seen = Vec::new();
+                        reverse_reach_batch_wide(&g, &lanes, words, dir, s, |n, mask| {
+                            seen.push(n.0 as u64);
+                            seen.extend_from_slice(&mask);
+                        });
+                        seen
+                    }
+                    2 => {
+                        let mut memo = SpreadMemo::new();
+                        memo.begin_batch(bound);
+                        memo.apply_old_sink_deltas_wide(&g, &sinks, words, dir, s);
+                        (0..bound as u32)
+                            .map(|n| memo.delta_of(NodeId(n)))
+                            .collect()
+                    }
+                    3 => sources[..9]
+                        .iter()
+                        .map(|&v| reach_count(&g, v, s))
+                        .collect(),
+                    4 => {
+                        let mut gained = Vec::new();
+                        let gain = marginal_gain(&g, sources[0], &cover, s, &mut gained);
+                        let mut out: Vec<u64> = ids(&gained);
+                        out.push(gain);
+                        out
+                    }
+                    _ => {
+                        let mut out = Vec::new();
+                        reverse_reach_union_ordered(&g, &sources[..3], s, &mut out);
+                        ids(&out)
+                    }
+                }
+            };
+            let mut shared = ReachScratch::new();
+            if seed % 2 == 1 {
+                shared.force_epochs_near_wrap();
+            }
+            let mut step = 0usize;
+            for before in 0..6 {
+                for after in 0..6 {
+                    for kernel in [before, after] {
+                        let words = [1, 2, 4][step % 3];
+                        let dir = [SweepDirection::TopDown, SweepDirection::Auto][step % 2];
+                        step += 1;
+                        let got = run(kernel, words, dir, &mut shared);
+                        let want = run(kernel, words, dir, &mut ReachScratch::new());
+                        assert_eq!(
+                            got, want,
+                            "seed {seed}: kernel {kernel} after kernel {before} ({words} words)"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_counter_walks_a_long_cycle_without_recursion() {
+        // A path into a 100k-node cycle with a tail out of it: one SCC of
+        // 100k nodes and DFS paths 100k deep, which a recursive DFS would
+        // overflow the stack on in a debug build.
+        const PATH: u32 = 500;
+        const CYCLE: u32 = 100_000;
+        const TAIL: u32 = 700;
+        let mut g = AdnGraph::new();
+        let nodes = PATH + CYCLE + TAIL;
+        for i in 0..nodes - 1 {
+            g.add_edge(NodeId(i), NodeId(i + 1));
+        }
+        let (cycle_start, cycle_end) = (PATH, PATH + CYCLE - 1);
+        g.add_edge(NodeId(cycle_end), NodeId(cycle_start));
+        let sources = [
+            NodeId(0),
+            NodeId(PATH / 2),
+            NodeId(cycle_start),
+            NodeId(cycle_start + CYCLE / 2),
+            NodeId(cycle_end),
+            NodeId(cycle_end + 1),
+            NodeId(nodes - 1),
+        ];
+        let mut s = ReachScratch::new();
+        let want: Vec<u64> = sources
+            .iter()
+            .map(|&v| reach_count(&g, v, &mut s))
+            .collect();
+        assert_eq!(want[0], nodes as u64);
+        assert_eq!(
+            want[3],
+            (CYCLE + TAIL) as u64,
+            "every cycle node reaches the whole SCC"
+        );
+        for words in [1usize, 2, 4] {
+            let mut counts = vec![0u64; sources.len()];
+            reach_count_batch_wide(&g, &sources, words, &mut s, &mut counts);
+            assert_eq!(counts, want, "words {words}");
+            // Reversed slice order discovers the cone from its tail first.
+            let reversed: Vec<NodeId> = sources.iter().rev().copied().collect();
+            reach_count_batch_wide(&g, &reversed, words, &mut s, &mut counts);
+            counts.reverse();
+            assert_eq!(counts, want, "words {words}, reversed sources");
+        }
+    }
+
+    #[test]
+    fn forward_counter_handles_one_scc_and_sources_past_the_bound() {
+        // 40 nodes on one cycle with chords, and a tail 40 -> 41 -> 42.
+        let mut g = AdnGraph::new();
+        for i in 0..40u32 {
+            g.add_edge(NodeId(i), NodeId((i + 1) % 40));
+            g.add_edge(NodeId(i), NodeId((i * 7 + 3) % 40));
+        }
+        g.add_edge(NodeId(17), NodeId(40));
+        g.add_edge(NodeId(40), NodeId(41));
+        g.add_edge(NodeId(41), NodeId(42));
+        let bound = g.node_index_bound() as u32;
+        let mut s = ReachScratch::new();
+        for words in [1usize, 2, 4] {
+            // Every lane's source in the one SCC: all count 43.
+            let sources: Vec<NodeId> = (0..words as u32 * 64).map(|i| NodeId(i % 40)).collect();
+            let mut counts = vec![0u64; sources.len()];
+            reach_count_batch_wide(&g, &sources, words, &mut s, &mut counts);
+            assert!(counts.iter().all(|&c| c == 43), "words {words}: {counts:?}");
+            // Sources at and beyond the node bound have no edges and count
+            // themselves, beside sources inside the graph.
+            let mixed = [
+                NodeId(bound),
+                NodeId(3),
+                NodeId(bound + 9),
+                NodeId(41),
+                NodeId(bound),
+            ];
+            let mut counts = [0u64; 5];
+            reach_count_batch_wide(&g, &mixed, words, &mut s, &mut counts);
+            assert_eq!(counts, [1, 43, 1, 2, 1], "words {words}");
+            for (&src, &got) in mixed.iter().zip(&counts) {
+                assert_eq!(
+                    got,
+                    reach_count(&g, src, &mut s),
+                    "words {words} src {src:?}"
+                );
             }
         }
     }

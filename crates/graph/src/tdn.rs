@@ -873,11 +873,6 @@ impl Graph for TdnGraph {
     fn prefetch_out(&self, u: NodeId) {
         self.out.pool.prefetch(u.index());
     }
-
-    #[inline]
-    fn prefetch_in(&self, v: NodeId) {
-        self.inc.pool.prefetch(v.index());
-    }
 }
 
 #[cfg(test)]

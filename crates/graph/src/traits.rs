@@ -10,9 +10,9 @@ use crate::node::NodeId;
 /// gains; the reverse adjacency (who points *to* a node) computes `V̄_t` —
 /// the set of nodes whose influence spread changed after an edge batch
 /// (Alg. 1 line 3) — and samples reverse-reachable sets in the IC
-/// baselines. The bit-parallel traversals need both: a bottom-up round
-/// pulls across the edges opposite to the ones a top-down round pushes
-/// across.
+/// baselines. The reverse bit-parallel sweeps need both: a bottom-up round
+/// pulls across out-edges, opposite to the in-edges a top-down round
+/// pushes across.
 pub trait Graph {
     /// Calls `f` once per live out-neighbor of `u` (duplicates possible when
     /// multi-edges are stored; callers must deduplicate via visited marks).
@@ -38,19 +38,11 @@ pub trait Graph {
     }
 
     /// Hints the CPU to pull `u`'s out-adjacency block toward the cache.
-    /// Purely an optimization hook for the bottom-up scan loops — the
-    /// default is a no-op and implementations must have no observable
-    /// effect.
+    /// Purely an optimization hook for the reverse sweeps' bottom-up scan
+    /// loops — the default is a no-op and implementations must have no
+    /// observable effect.
     #[inline]
     fn prefetch_out(&self, u: NodeId) {
         let _ = u;
-    }
-
-    /// Hints the CPU to pull `v`'s in-adjacency block toward the cache.
-    /// Optimization hook only (see [`Graph::prefetch_out`]); the default
-    /// is a no-op.
-    #[inline]
-    fn prefetch_in(&self, v: NodeId) {
-        let _ = v;
     }
 }

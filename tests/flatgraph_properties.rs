@@ -100,8 +100,8 @@ proptest! {
 
     /// Forced epoch wrap-around in `ReachScratch` (both the plain visited
     /// epoch and the bit-parallel worklist epoch) must not alias marks at
-    /// any label width or sweep direction: traversals right after a wrap
-    /// agree with a fresh scratch.
+    /// any label width: traversals right after a wrap agree with a fresh
+    /// scratch.
     #[test]
     fn reach_scratch_epoch_wrap_is_transparent(
         edges in prop::collection::vec((0u32..24, 0u32..24), 1..60),
@@ -116,25 +116,21 @@ proptest! {
         let mut fresh = ReachScratch::new();
         let expect: Vec<u64> = sources.iter().map(|&n| reach_count(&g, n, &mut fresh)).collect();
         for words in [1usize, 2, 4] {
-            for direction in [SweepDirection::TopDown, SweepDirection::Auto] {
-                let mut wrapped = ReachScratch::new();
-                wrapped.force_epochs_near_wrap();
-                for round in 0..4 {
-                    for (&n, &want) in sources.iter().zip(&expect) {
-                        prop_assert_eq!(
-                            reach_count(&g, n, &mut wrapped), want,
-                            "round {} node {:?}", round, n
-                        );
-                    }
-                    let mut batch_counts = vec![0u64; 24];
-                    reach_count_batch_wide(
-                        &g, &sources, words, direction, &mut wrapped, &mut batch_counts,
-                    );
+            let mut wrapped = ReachScratch::new();
+            wrapped.force_epochs_near_wrap();
+            for round in 0..4 {
+                for (&n, &want) in sources.iter().zip(&expect) {
                     prop_assert_eq!(
-                        &batch_counts, &expect,
-                        "round {} words {} direction {:?}", round, words, direction
+                        reach_count(&g, n, &mut wrapped), want,
+                        "round {} node {:?}", round, n
                     );
                 }
+                let mut batch_counts = vec![0u64; 24];
+                reach_count_batch_wide(&g, &sources, words, &mut wrapped, &mut batch_counts);
+                prop_assert_eq!(
+                    &batch_counts, &expect,
+                    "round {} words {}", round, words
+                );
             }
         }
     }
@@ -163,49 +159,68 @@ proptest! {
     }
 }
 
-/// A flash-crowd shape — one hub fanning out to thousands of nodes in a
-/// single round — must actually trip the direction switch under
-/// [`SweepDirection::Auto`] (the frontier is ~all live nodes, far past the
-/// `≥ 512` floor and the `live/8` fraction), and the bottom-up rounds must
-/// leave the reach tallies exactly as top-down computes them.
+/// A flash-crowd shape, transposed — thousands of leaves pointing into
+/// one hub — swept in reverse from the hub must actually trip the
+/// direction switch under [`SweepDirection::Auto`] (the frontier is ~all
+/// live nodes, far past the `≥ 512` floor and the `live/8` fraction), and
+/// the bottom-up rounds must leave the labels exactly as top-down computes
+/// them. Forward counting has no direction; on the flash crowd itself its
+/// counts must equal per-source scalar BFS.
 #[test]
 fn flash_crowd_frontier_takes_bottom_up_sweeps() {
-    let mut g = tdn::graph::AdnGraph::new();
     const FAN: u32 = 5_000;
+    let mut crowd = tdn::graph::AdnGraph::new();
+    let mut transposed = tdn::graph::AdnGraph::new();
     for i in 1..=FAN {
-        g.add_edge(GNodeId(0), GNodeId(i));
+        crowd.add_edge(GNodeId(0), GNodeId(i));
+        transposed.add_edge(GNodeId(i), GNodeId(0));
         // A sparse second hop so the bottom-up rounds have real pulls to
         // perform rather than immediately quiescing.
         if i % 7 == 0 {
-            g.add_edge(GNodeId(i), GNodeId(FAN + 1 + i % 13));
+            let far = GNodeId(FAN + 1 + i % 13);
+            crowd.add_edge(GNodeId(i), far);
+            transposed.add_edge(far, GNodeId(i));
         }
     }
-    let sources = [GNodeId(0)];
+    let hub: &[GNodeId] = &[GNodeId(0)];
     let mut scratch = ReachScratch::new();
-    let mut top_down = vec![0u64; 1];
-    tdn::graph::reach_count_batch_wide(
-        &g,
-        &sources,
-        1,
-        SweepDirection::TopDown,
-        &mut scratch,
-        &mut top_down,
-    );
+    let mut sweep = |direction| {
+        let mut labels = vec![0u64; (FAN + 14) as usize];
+        tdn::graph::reverse_reach_batch_wide(
+            &transposed,
+            &[hub],
+            1,
+            direction,
+            &mut scratch,
+            |n, mask| labels[n.index()] = mask[0],
+        );
+        (labels, scratch.bottom_up_rounds())
+    };
+    let (top_down, top_rounds) = sweep(SweepDirection::TopDown);
+    assert_eq!(top_rounds, 0, "TopDown never scans bottom-up");
     let before = tdn::graph::bottom_up_sweeps();
-    let mut auto_counts = vec![0u64; 1];
-    tdn::graph::reach_count_batch_wide(
-        &g,
-        &sources,
-        1,
-        SweepDirection::Auto,
-        &mut scratch,
-        &mut auto_counts,
-    );
+    let (auto, auto_rounds) = sweep(SweepDirection::Auto);
     assert!(
-        tdn::graph::bottom_up_sweeps() > before,
+        auto_rounds > 0 && tdn::graph::bottom_up_sweeps() > before,
         "a {FAN}-wide frontier over ~{FAN} live nodes must switch to bottom-up"
     );
-    assert_eq!(auto_counts, top_down, "bottom-up rounds changed the answer");
+    assert_eq!(auto, top_down, "bottom-up rounds changed the answer");
+    assert!(
+        top_down.iter().all(|&w| w == 1),
+        "hub, leaves and second hop all reach the hub"
+    );
+    let sources: Vec<GNodeId> = (0..=FAN + 13).step_by(97).map(GNodeId).collect();
+    for chunk in sources.chunks(64) {
+        let mut counts = vec![0u64; chunk.len()];
+        tdn::graph::reach_count_batch_wide(&crowd, chunk, 1, &mut scratch, &mut counts);
+        for (&src, &got) in chunk.iter().zip(&counts) {
+            assert_eq!(
+                got,
+                reach_count(&crowd, src, &mut scratch),
+                "source {src:?}"
+            );
+        }
+    }
 }
 
 /// Same-bucket expiry storms must recycle arena blocks: after the first
